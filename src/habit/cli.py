@@ -60,10 +60,15 @@ DEFAULT_CONFIG = {
 def _merge_section(defaults, given, path):
     out = dict(defaults)
     for key, value in given.items():
+        name = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {path}.{key}" if path else f"unknown config key {key}")
+            raise ConfigError(f"unknown config key {name}")
+        # the value must have its default's JSON type; an int may stand for a float
+        want = (int, float) if isinstance(defaults[key], float) else type(defaults[key])
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise ConfigError(f"config key {name} must be {type(defaults[key]).__name__}, got {value!r}")
         if isinstance(defaults[key], dict):
-            out[key] = _merge_section(defaults[key], value, f"{path}.{key}" if path else key)
+            out[key] = _merge_section(defaults[key], value, name)
         else:
             out[key] = value
     return out
@@ -114,7 +119,14 @@ def _load_data(data_dir: Path):
     gal = data_dir / "gallery.jsonl"
     if not ds.exists() or not gal.exists():
         raise FileNotFoundError(f"missing dataset files under {data_dir}")
-    return synth.read_dataset(ds), synth.read_gallery(gal)
+    records, gallery = synth.read_dataset(ds), synth.read_gallery(gal)
+    shapes = {g.vec.shape for g in gallery} | {v.shape for r in records for v in (r.ref_vec, r.mod_vec)}
+    if len(shapes) > 1:
+        raise FormatError(f"{data_dir}: ref, mod and gallery vectors differ in length: {sorted(shapes)}")
+    for r in records:
+        if not 0 <= r.target_id < len(gallery):
+            raise FormatError(f"{ds}: record {r.id}: target_id {r.target_id} is outside the gallery")
+    return records, gallery
 
 
 def cmd_gen(cfg: dict, out_dir: Path) -> int:
@@ -158,16 +170,12 @@ def detect_masks(params, records, gallery, tcfg):
     batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
     cleanliness = np.full(len(records), np.nan)
     mask = np.ones(len(records))
+    shape = (params.q_tokens, params.dim)
     for idx in batches:
         x_c = np.concatenate([refs[idx], mods[idx]], axis=1)
-        f_c = train_mod._encode_batch(params.w_c, params.b_c, x_c, params.q_tokens, params.dim)[0]
-        f_t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], params.q_tokens, params.dim)[0]
-        q = f_c.mean(axis=1)
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        t = f_t.mean(axis=1)
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
-        sim = q @ t.T
-        est = mke.estimate_batch(list(f_c), list(f_t), sim, tcfg.tau, tcfg.tau_mk)
+        f_c, _, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
+        f_t, _, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], *shape)
+        est = mke.estimate_batch(f_c, f_t, q @ t.T, tcfg.tau, tcfg.tau_mk)
         outliers = dpl.dbscan_1d(est, tcfg.dbscan_eps, tcfg.min_pts())
         cleanliness[idx] = est
         for pos in outliers:

@@ -33,7 +33,6 @@ class LossBreakdown:
     soft: float
     kappa: float
     gamma: float
-    tau: float
     total: float = field(init=False)
 
     def __post_init__(self):
@@ -128,9 +127,9 @@ def robust_contrastive_loss(sim, mask, tau: float) -> float:
     return float((m * per_row).sum() / b)
 
 
-def total_objective(rank, kl, soft, kappa, gamma, tau=0.1) -> LossBreakdown:
+def total_objective(rank, kl, soft, kappa, gamma) -> LossBreakdown:
     """Combine the three components: total = rank + kappa*kl + gamma*soft."""
     return LossBreakdown(
         rank=float(rank), kl=float(kl), soft=float(soft),
-        kappa=float(kappa), gamma=float(gamma), tau=float(tau),
+        kappa=float(kappa), gamma=float(gamma),
     )

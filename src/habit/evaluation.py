@@ -14,7 +14,6 @@ from .train import EncoderParams, _encode_batch
 class RetrievalReport:
     recall_at: dict
     n_queries: int
-    recall_sub_at: dict | None = None
 
 
 @dataclass
@@ -23,7 +22,6 @@ class DetectionReport:
     recall: float
     f1: float
     auc: float
-    threshold_free: bool = False
 
 
 def pooled_queries(params: EncoderParams, refs, mods):

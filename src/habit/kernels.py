@@ -1,38 +1,25 @@
-"""Hot numeric kernels with a numba-compiled fast path.
+"""Mutual-knowledge (MK) and 1-D DBSCAN kernels: one numpy path.
 
-The loop kernels are JIT-compiled when numba is importable. Setting the
-environment variable ``HABIT_BACKEND=numpy`` (before import) forces the
-pure-numpy fallbacks instead; ``benchmarks/bench_kernels.py`` compares the
-two. Both paths implement identical math; results agree to float64
-round-off (summation order differs).
+`mutual_knowledge_core` takes one (Q, D) pair or an (N, Q, D) stack of
+pairs; each pair of a stack gets the bits of its own 2-D call. The loop
+kernels are the references that tests and benchmark checks compare
+against. `USE_NUMBA` is always False and stays for benchmark records.
 
-The raw MK kernels depend on orientation: they reduce the joint in memory
-order, so ``core(a, b)`` and ``core(b, a)`` can differ in the last ulp.
-Callers should go through ``mke.mutual_knowledge``, which fixes a canonical
-orientation and is bitwise symmetric.
+The MK kernels reduce the joint in memory order, so ``core(a, b)`` and
+``core(b, a)`` can differ in the last ulp; `mke` puts each pair in a
+canonical order first and is bitwise symmetric.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_want_numba = os.environ.get("HABIT_BACKEND", "numba").strip().lower() != "numpy"
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
-
-USE_NUMBA = _want_numba and _HAS_NUMBA
+USE_NUMBA = False
 
 
 def _mutual_knowledge_loops(fc, ft, tau):
     # softmax over all Qc*Qt token dot products, then MI of that joint
-    # against its own marginals. Sequential sums keep the jitted and
-    # interpreted paths bit-identical.
+    # against its own marginals, in sequential sums
     qc, d = fc.shape
     qt = ft.shape[0]
     logits = np.empty((qc, qt))
@@ -68,13 +55,16 @@ def _mutual_knowledge_loops(fc, ft, tau):
 
 
 def _mutual_knowledge_numpy(fc, ft, tau):
-    logits = (fc @ ft.T) / tau
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    prow = p.sum(axis=1)
-    pcol = p.sum(axis=0)
-    mk = float(np.sum(p * np.log(p / (prow[:, None] * pcol[None, :]))))
-    return mk if mk > 0.0 else 0.0
+    logits = (fc @ np.swapaxes(ft, -1, -2)) / tau
+    p = np.exp(logits - logits.max(axis=(-2, -1), keepdims=True))
+    p /= p.sum(axis=(-2, -1), keepdims=True)
+    prow = p.sum(axis=-1)
+    pcol = p.sum(axis=-2)
+    mk = np.sum(p * np.log(p / (prow[..., :, None] * pcol[..., None, :])), axis=(-2, -1))
+    return np.maximum(mk, 0.0)
+
+
+mutual_knowledge_core = _mutual_knowledge_numpy
 
 
 def _dbscan_noise_loops(values, eps, min_pts):
@@ -117,9 +107,13 @@ def _dbscan_noise_loops(values, eps, min_pts):
     return noise
 
 
-if USE_NUMBA:
-    mutual_knowledge_core = njit(cache=True)(_mutual_knowledge_loops)
-    dbscan_noise_flags = njit(cache=True)(_dbscan_noise_loops)
-else:
-    mutual_knowledge_core = _mutual_knowledge_numpy
-    dbscan_noise_flags = _dbscan_noise_loops
+def dbscan_noise_flags(values, eps, min_pts):
+    """1 at the noise points of `_dbscan_noise_loops`, without its loops.
+
+    A point is noise iff no core point lies within eps of it (a core point
+    is its own neighbour). The neighbourhoods use the loop kernel's
+    ``|v_i - v_j| <= eps`` comparisons, so ties at exactly eps agree.
+    """
+    near = np.abs(values[:, None] - values[None, :]) <= eps
+    core = near.sum(axis=1) >= min_pts
+    return (~(near & core).any(axis=1)).astype(np.int64)

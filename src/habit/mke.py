@@ -15,28 +15,30 @@ from .kernels import mutual_knowledge_core
 TR_DENOM_EPS = 1e-8
 
 
-def joint_distribution(f_c, f_t, tau_mk: float) -> np.ndarray:
-    """Joint over token pairs: softmax of all Qc x Qt dot products at tau_mk."""
-    f_c = np.asarray(f_c, dtype=np.float64)
-    f_t = np.asarray(f_t, dtype=np.float64)
-    if f_c.ndim != 2 or f_t.ndim != 2 or f_c.shape[1] != f_t.shape[1]:
-        raise DimensionMismatch(
-            f"token matrices disagree on D: {f_c.shape} vs {f_t.shape}"
-        )
-    logits = (f_c @ f_t.T) / tau_mk
-    p = np.exp(logits - logits.max())
-    return p / p.sum()
+def _canonical_pairs(a, b):
+    """Each pair (a[..., :, :], b[..., :, :]) in canonical (shape, bytes) order.
+
+    The kernels reduce the joint in memory order, so swapping a pair would
+    change the last ulp of its MK; the swapped joint is the transpose,
+    which has the same MI. A pair is swapped when b's (Q, D) shape is
+    smaller, or, with equal shapes, when b's raw bytes are smaller at the
+    first byte where the two differ, as Python compares ``tobytes()``.
+    """
+    if a.shape[-2:] != b.shape[-2:]:
+        return (b, a) if b.shape[-2:] < a.shape[-2:] else (a, b)
+    ra = np.ascontiguousarray(a).view(np.uint8).reshape(a.shape[:-2] + (-1,))
+    rb = np.ascontiguousarray(b).view(np.uint8).reshape(b.shape[:-2] + (-1,))
+    first = np.argmax(ra != rb, axis=-1)[..., None]
+    swap = (np.take_along_axis(rb, first, -1) < np.take_along_axis(ra, first, -1))[..., None]
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def mutual_knowledge(f_c, f_t, tau_mk: float) -> float:
     """Mutual information of the induced token joint against its marginals.
 
     MI is symmetric, and so is this function, bitwise:
-    ``mutual_knowledge(a, b) == mutual_knowledge(b, a)`` exactly. The
-    kernels reduce the joint in memory order, so swapping the arguments
-    would change the last ulp; the two matrices are therefore put in a
-    canonical order, by (shape, bytes), before the kernel sees them. The
-    swapped joint is the transpose, which has the same MI.
+    ``mutual_knowledge(a, b) == mutual_knowledge(b, a)`` exactly, because
+    the two matrices reach the kernel in `_canonical_pairs` order.
     """
     f_c = np.asarray(f_c, dtype=np.float64)
     f_t = np.asarray(f_t, dtype=np.float64)
@@ -44,9 +46,7 @@ def mutual_knowledge(f_c, f_t, tau_mk: float) -> float:
         raise DimensionMismatch(
             f"token matrices disagree on D: {f_c.shape} vs {f_t.shape}"
         )
-    if (f_t.shape, f_t.tobytes()) < (f_c.shape, f_c.tobytes()):
-        f_c, f_t = f_t, f_c
-    return float(mutual_knowledge_core(f_c, f_t, tau_mk))
+    return float(mutual_knowledge_core(*_canonical_pairs(f_c, f_t), tau_mk))
 
 
 def select_standard(sim, tau: float) -> int:
@@ -95,22 +95,19 @@ def estimate_batch(
     `use_transition_rate=False` the raw |MK_std - MK| differences replace
     the transition rates (ablation D#2-style).
     """
-    b = len(composed)
-    if len(targets) != b:
-        raise DimensionMismatch(f"batch sizes differ: {b} vs {len(targets)}")
+    c = np.asarray(composed, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if c.ndim != 3 or t.ndim != 3 or c.shape[0] != t.shape[0] or c.shape[2] != t.shape[2]:
+        raise DimensionMismatch(f"composed {c.shape} and target {t.shape} stacks disagree")
+    b = c.shape[0]
     s = select_standard(sim, tau) if standard_index is None else int(standard_index)
-    fc_s, ft_s = composed[s], targets[s]
-    mk_std = mutual_knowledge(fc_s, ft_s, tau_mk)
-
-    def drift(mk):
-        if use_transition_rate:
-            return transition_rate(mk_std, mk)
-        return abs(mk_std - mk)
-
-    out = np.empty(b)
-    for i in range(b):
-        d_ct = drift(mutual_knowledge(composed[i], targets[i], tau_mk))
-        d_c = drift(mutual_knowledge(composed[i], ft_s, tau_mk))
-        d_t = drift(mutual_knowledge(targets[i], fc_s, tau_mk))
-        out[i] = 1.0 / (1.0 + d_ct + abs(d_c - d_t))
-    return out
+    # pair slots: [c_i, t_i] | [c_i, t_s] | [c_s, t_i], for i = 0..B-1
+    left = np.concatenate([c, c, np.broadcast_to(c[s], c.shape)])
+    right = np.concatenate([t, np.broadcast_to(t[s], t.shape), t])
+    mk = mutual_knowledge_core(*_canonical_pairs(left, right), tau_mk)
+    mk_std = mk[s]
+    drift = np.abs(mk_std - mk)
+    if use_transition_rate:
+        drift /= max(mk_std, TR_DENOM_EPS)
+    d_ct, d_c, d_t = drift[:b], drift[b : 2 * b], drift[2 * b :]
+    return 1.0 / (1.0 + d_ct + np.abs(d_c - d_t))

@@ -259,7 +259,7 @@ def loss_and_grad(
                 raise ConfigError("no_sample ablation needs an rng")
             std_idx = int(rng.integers(b))
         estimates = mke.estimate_batch(
-            list(f_c), list(f_t), sim, cfg.tau, cfg.tau_mk,
+            f_c, f_t, sim, cfg.tau, cfg.tau_mk,
             standard_index=std_idx,
             use_transition_rate=not cfg.has("no_tr"),
         )
@@ -308,7 +308,7 @@ def loss_and_grad(
         soft = dpl.soft_margin_loss(sim, margins_from, mask_soft, cfg.m_base)
         g_sim += cfg.gamma * _grad_soft(sim, margins_from, mask_soft, cfg.m_base)
 
-    breakdown = dpl.total_objective(rank, kl, soft, cfg.kappa, cfg.gamma, cfg.tau)
+    breakdown = dpl.total_objective(rank, kl, soft, cfg.kappa, cfg.gamma)
 
     # --- backward: similarity -> pooled -> tokens -> affine params ---
     d_qpool = g_sim @ t_pool

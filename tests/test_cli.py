@@ -179,3 +179,41 @@ def test_seed_flag_overrides(tmp_path):
     assert cfg["gen"]["seed"] == 99
     assert cfg["train"]["seed"] == 99
     assert cfg["split"]["seed"] == 99
+
+
+def test_config_wrong_type_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"train": {"epochs": "ten"}})
+    code = cli.main(["gen", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "train.epochs" in capsys.readouterr().err
+    # an int stands for a float, not the other way round
+    assert cli.load_config(write_config(tmp_path, {"train": {"learning_rate": 1}}))
+    with pytest.raises(ConfigError):
+        cli.load_config(write_config(tmp_path, {"train": {"batch_size": 8.0}}))
+
+
+def _corrupt_first_record(data, **fields):
+    path = data / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_train_target_outside_gallery_exit_4(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg_path, "--out", str(data)]) == 0
+    _corrupt_first_record(data, target_id=SMALL["gen"]["n_gallery"])
+    code = cli.main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert "target_id" in capsys.readouterr().err
+
+
+def test_train_ref_wrong_length_exit_4(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg_path, "--out", str(data)]) == 0
+    _corrupt_first_record(data, ref=[0.5] * (SMALL["gen"]["d_in"] - 1))
+    code = cli.main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert "differ in length" in capsys.readouterr().err

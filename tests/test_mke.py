@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from habit import features, kernels, mke
 from habit.errors import DimensionMismatch
@@ -30,33 +32,11 @@ def mk_oracle(fc, ft, tau):
     return total
 
 
-def test_joint_single_token_is_one():
-    rng = np.random.default_rng(0)
-    p = mke.joint_distribution(random_tokens(rng, 1), random_tokens(rng, 1), 0.1)
-    np.testing.assert_allclose(p, [[1.0]], atol=1e-15)
-
-
-def test_joint_equal_dots_uniform():
-    fc = np.array([[1.0, 0.0], [1.0, 0.0]])
-    ft = np.array([[0.0, 1.0], [0.0, 1.0]])
-    p = mke.joint_distribution(fc, ft, 0.1)
-    np.testing.assert_allclose(p, np.full((2, 2), 0.25), atol=1e-12)
-
-
-def test_joint_matches_oracle_and_sums_to_one():
-    rng = np.random.default_rng(1)
-    fc, ft = random_tokens(rng, 3), random_tokens(rng, 3)
-    p = mke.joint_distribution(fc, ft, 0.1)
-    np.testing.assert_allclose(p, joint_oracle(fc, ft, 0.1), atol=1e-12)
-    assert abs(p.sum() - 1.0) < 1e-9
-    assert abs(p.sum(axis=1).sum() - 1.0) < 1e-9
-    assert abs(p.sum(axis=0).sum() - 1.0) < 1e-9
-    assert np.all(p >= 0)
-
-
-def test_joint_dimension_mismatch():
+def test_mutual_knowledge_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mke.joint_distribution(np.ones((2, 3)), np.ones((2, 4)), 0.1)
+        mke.mutual_knowledge(np.ones((2, 3)), np.ones((2, 4)), 0.1)
+    with pytest.raises(DimensionMismatch):
+        mke.estimate_batch([np.ones((2, 3))], [np.ones((2, 4))], np.ones((1, 1)), 0.1, 0.1)
 
 
 def test_mutual_knowledge_uniform_is_zero():
@@ -202,3 +182,29 @@ def test_estimate_batch_standard_is_exactly_one():
     sim = rng.uniform(-1, 1, size=(32, 32))
     est = mke.estimate_batch(composed, targets, sim, 0.1, 0.01)
     assert est[mke.select_standard(sim, 0.1)] == 1.0
+
+
+# nonzero entries keep every token row away from zero norm; hypothesis still
+# draws repeated rows and samples, where the canonical pair order matters
+_entries = st.floats(0.01, 1.0) | st.floats(-1.0, -0.01)
+
+
+@st.composite
+def _batches(draw):
+    b, qc, qt, d = (draw(st.integers(lo, hi)) for lo, hi in ((1, 12), (1, 5), (1, 5), (2, 16)))
+    composed = draw(arrays(np.float64, (b, qc, d), elements=_entries))
+    targets = draw(arrays(np.float64, (b, qt, d), elements=_entries))
+    sim = draw(arrays(np.float64, (b, b), elements=st.floats(-1.0, 1.0)))
+    standard = draw(st.none() | st.integers(0, b - 1))
+    unit = lambda m: m / np.linalg.norm(m, axis=-1, keepdims=True)
+    return unit(composed), unit(targets), sim, standard
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_batches(), tau_mk=st.sampled_from([0.1, 0.01]))
+def test_estimate_batch_equals_cleanliness_property(batch, tau_mk):
+    composed, targets, sim, standard = batch
+    est = mke.estimate_batch(composed, targets, sim, 0.1, tau_mk, standard_index=standard)
+    s = mke.select_standard(sim, 0.1) if standard is None else standard
+    for i in range(len(composed)):
+        assert est[i] == mke.cleanliness(composed[i], targets[i], composed[s], targets[s], tau_mk)
