@@ -1,11 +1,11 @@
 """Robust composed-retrieval learning under noisy triplet correspondence.
 
 Subpackages:
-  features   token-matrix primitives and similarity
+  features   token-matrix primitives (row normalization)
   mke        mutual-knowledge cleanliness estimation
   dpl        noise masking and the masked training losses
   synth      synthetic noisy-triplet benchmark generator
-  train      toy encoders, analytic gradients, AdamW loop, checkpoints
+  train      the batched toy encoder, analytic gradients, AdamW loop, checkpoints
   evaluation retrieval recall and noise-detection metrics
   cli        command-line entry points (gen/train/detect/eval/sweep)
 """

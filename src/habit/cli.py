@@ -126,7 +126,30 @@ def _load_data(data_dir: Path):
     for r in records:
         if not 0 <= r.target_id < len(gallery):
             raise FormatError(f"{ds}: record {r.id}: target_id {r.target_id} is outside the gallery")
+    for name, items, vecs in (
+        ("ref", records, [r.ref_vec for r in records]),
+        ("mod", records, [r.mod_vec for r in records]),
+        ("gallery", gallery, [g.vec for g in gallery]),
+    ):
+        if not vecs:
+            continue
+        bad = np.flatnonzero(~np.isfinite(np.stack(vecs).reshape(len(vecs), -1)).all(axis=1))
+        if bad.size:
+            raise FloatingPointError(f"{data_dir}: {name} vector of id {items[bad[0]].id} is not finite")
     return records, gallery
+
+
+def _load_run(ckpt_path: Path, data_dir: Path):
+    """Checkpoint and data for eval and detect; the checkpoint must fit the data's width."""
+    ckpt = train_mod.load_checkpoint(ckpt_path)
+    records, gallery = _load_data(data_dir)
+    width = gallery[0].vec.shape[0] if gallery else ckpt.params.d_in
+    if width != ckpt.params.d_in:
+        raise FormatError(
+            f"{ckpt_path}: checkpoint input width {ckpt.params.d_in} != "
+            f"vector length {width} of the data in {data_dir}"
+        )
+    return ckpt, records, gallery
 
 
 def cmd_gen(cfg: dict, out_dir: Path) -> int:
@@ -185,8 +208,7 @@ def detect_masks(params, records, gallery, tcfg):
 
 
 def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> int:
-    ckpt = train_mod.load_checkpoint(ckpt_path)
-    records, gallery = _load_data(data_dir)
+    ckpt, records, gallery = _load_run(ckpt_path, data_dir)
     tcfg = train_config(cfg)
     train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
     cleanliness, mask, covered = detect_masks(ckpt.params, train_records, gallery, tcfg)
@@ -211,8 +233,7 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> int
 
 
 def cmd_eval(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None) -> int:
-    ckpt = train_mod.load_checkpoint(ckpt_path)
-    records, gallery = _load_data(data_dir)
+    ckpt, records, gallery = _load_run(ckpt_path, data_dir)
     _, test_records = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
     if not test_records:
         raise ConfigError("empty test split; nothing to evaluate")
@@ -274,7 +295,7 @@ def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> int:
                     parts = line.rstrip("\n").split(",")
                     if parts[0] == "f1":
                         f1 = parts[1]
-        except HabitError as exc:
+        except (HabitError, FloatingPointError) as exc:
             status = f"failed: {exc}"
             log.warning("sweep value %s failed: %s", value, exc)
         rows.append([axis, value, status, r10, f1])

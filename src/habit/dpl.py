@@ -7,7 +7,7 @@ consistency, soft margin, robust contrastive) honor that mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,7 @@ class LossBreakdown:
     rank: float
     kl: float
     soft: float
-    kappa: float
-    gamma: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        self.total = self.rank + self.kappa * self.kl + self.gamma * self.soft
+    total: float
 
 
 def dbscan_1d(values, eps: float, min_pts: int) -> frozenset:
@@ -84,11 +79,31 @@ def kl_consistency(sim_now, sim_prev, mask_now, mask_prev, tau: float) -> float:
     return float(np.mean(np.sum(p * (np.log(p) - np.log(q)), axis=1)))
 
 
-def dynamic_margin(e: float, m_base: float) -> float:
-    """Margin m_base * (10^e - 1) / 9, growing with estimated cleanliness."""
-    if not 0.0 <= e <= 1.0:
-        raise DomainError(f"estimate {e} outside [0, 1]")
+def dynamic_margin(e, m_base: float):
+    """Margin m_base * (10^e - 1) / 9, growing with estimated cleanliness.
+
+    `e` is a scalar or an array; every element must lie in [0, 1].
+    """
+    e = np.asarray(e, dtype=np.float64)
+    bad = ~((e >= 0.0) & (e <= 1.0))
+    if np.any(bad):
+        raise DomainError(f"estimate {e[bad].flat[0]} outside [0, 1]")
     return m_base * (10.0**e - 1.0) / 9.0
+
+
+def _hardest_negative_hinge(sim, estimates, mask, m_base):
+    """Per-row soft-margin hinge and the column of each row's hardest negative.
+
+    hinge_i = max(0, dynamic_margin(e_i) + max_{j != i} s_ij - s_ii), and 0
+    where mask_i == 0. Ties for the hardest negative break to the lowest
+    column; with B = 1 there is no negative and the hinge is 0.
+    """
+    b = sim.shape[0]
+    rows = np.arange(b)
+    neg = np.where(np.eye(b, dtype=bool), -np.inf, sim)
+    j = neg.argmax(axis=1)
+    hinge = dynamic_margin(estimates, m_base) + neg[rows, j] - sim[rows, rows]
+    return np.where(mask == 0.0, 0.0, np.maximum(hinge, 0.0)), j
 
 
 def soft_margin_loss(sim, estimates, mask, m_base: float) -> float:
@@ -99,17 +114,8 @@ def soft_margin_loss(sim, estimates, mask, m_base: float) -> float:
     b = s.shape[0]
     if s.shape != (b, b) or e.shape[0] != b or m.shape[0] != b:
         raise DimensionMismatch("similarity/estimate/mask shapes disagree")
-    if b == 1:
-        return 0.0
-    total = 0.0
-    for i in range(b):
-        if m[i] == 0.0:
-            continue
-        neg = np.delete(s[i], i)
-        hinge = dynamic_margin(e[i], m_base) + neg.max() - s[i, i]
-        if hinge > 0.0:
-            total += hinge
-    return total / b
+    hinge, _ = _hardest_negative_hinge(s, e, m, m_base)
+    return float(hinge.sum() / b)
 
 
 def robust_contrastive_loss(sim, mask, tau: float) -> float:
@@ -129,7 +135,5 @@ def robust_contrastive_loss(sim, mask, tau: float) -> float:
 
 def total_objective(rank, kl, soft, kappa, gamma) -> LossBreakdown:
     """Combine the three components: total = rank + kappa*kl + gamma*soft."""
-    return LossBreakdown(
-        rank=float(rank), kl=float(kl), soft=float(soft),
-        kappa=float(kappa), gamma=float(gamma),
-    )
+    rank, kl, soft = float(rank), float(kl), float(soft)
+    return LossBreakdown(rank, kl, soft, rank + float(kappa) * kl + float(gamma) * soft)

@@ -1,8 +1,9 @@
-"""Token-matrix primitives and the batch similarity matrix.
+"""Token-matrix primitives.
 
 Token feature matrices are plain float64 arrays of shape (Q, D) with unit
-L2 rows; pooled vectors are unit-norm arrays of shape (D,). Everything
-here is pure and thread-safe.
+L2 rows. Batch encoding and mean pooling live in `train._encode_batch`,
+the one encoder of train, eval and detect; a similarity matrix is the
+product of its pooled outputs. Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -24,28 +25,3 @@ def normalize_rows(m) -> np.ndarray:
         bad = int(np.argmin(norms))
         raise ZeroRow(f"row {bad} has norm {norms[bad]:.3e} < {ROW_NORM_EPS}")
     return m / norms[:, None]
-
-
-def pool(f) -> np.ndarray:
-    """Collapse a Q x D token matrix to one unit vector: mean rows, renormalize."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 1:
-        raise DimensionMismatch("pool expects a nonempty Q x D matrix")
-    v = f.mean(axis=0)
-    n = float(np.linalg.norm(v))
-    if n < ROW_NORM_EPS:
-        raise ZeroRow(f"pooled vector norm {n:.3e} < {ROW_NORM_EPS}")
-    return v / n
-
-
-def similarity_matrix(queries, targets) -> np.ndarray:
-    """Dot products between B pooled query vectors and B pooled target vectors.
-
-    Entry (b, j) is dot(query_b, target_j); with unit-norm inputs every
-    entry lies in [-1, 1].
-    """
-    q = np.asarray(queries, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if q.ndim != 2 or t.ndim != 2 or q.shape != t.shape:
-        raise DimensionMismatch(f"query/target shapes differ: {q.shape} vs {t.shape}")
-    return q @ t.T

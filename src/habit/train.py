@@ -18,7 +18,10 @@ import numpy as np
 
 from . import dpl, mke
 from .errors import ConfigError, DegenerateBatch, DimensionMismatch, FormatError, ZeroRow
-from .features import ROW_NORM_EPS, normalize_rows
+# normalize_rows is not called here. habitbench/run.py traces the features
+# layer by wrapping `train.normalize_rows`, and a traced run stops with an
+# AttributeError if the name is missing.
+from .features import ROW_NORM_EPS, normalize_rows  # noqa: F401
 
 ABLATION_FLAGS = frozenset(
     {
@@ -123,29 +126,14 @@ def init_params(d_in: int, q_tokens: int, dim: int, seed: int) -> EncoderParams:
     )
 
 
-def encode_composed(params: EncoderParams, ref_vec, mod_vec) -> np.ndarray:
-    x = np.concatenate([np.asarray(ref_vec, float), np.asarray(mod_vec, float)])
-    if x.shape[0] != params.w_c.shape[1]:
-        raise DimensionMismatch(
-            f"composed input dim {x.shape[0]} != {params.w_c.shape[1]}"
-        )
-    z = (params.w_c @ x + params.b_c).reshape(params.q_tokens, params.dim)
-    return normalize_rows(z)
-
-
-def encode_target(params: EncoderParams, target_vec) -> np.ndarray:
-    x = np.asarray(target_vec, dtype=np.float64)
-    if x.shape[0] != params.w_t.shape[1]:
-        raise DimensionMismatch(f"target input dim {x.shape[0]} != {params.w_t.shape[1]}")
-    z = (params.w_t @ x + params.b_t).reshape(params.q_tokens, params.dim)
-    return normalize_rows(z)
-
-
 def _encode_batch(w, b, x, q_tokens, dim):
-    """Batch affine encode + row normalize, keeping backward intermediates.
+    """Batch affine encode + row normalize + mean pool, keeping backward intermediates.
 
+    The one encoder of train, eval and detect: x is (B, d) with d == w.shape[1].
     Returns (tokens, row_norms, pooled_mean, pooled_norms, pooled_unit).
     """
+    if x.shape[-1] != w.shape[1]:
+        raise DimensionMismatch(f"input width {x.shape[-1]} != encoder input width {w.shape[1]}")
     z = x @ w.T + b
     tok = z.reshape(x.shape[0], q_tokens, dim)
     rn = np.sqrt(np.einsum("bqd,bqd->bq", tok, tok))
@@ -200,19 +188,11 @@ def _grad_kl(sim_now, sim_prev, mask_now, mask_prev, tau):
 def _grad_soft(sim, estimates, mask, m_base):
     """Subgradient of the soft margin loss; argmax ties break to lowest index."""
     b = sim.shape[0]
+    hinge, j = dpl._hardest_negative_hinge(sim, estimates, mask, m_base)
+    rows = np.flatnonzero(hinge > 0.0)
     g = np.zeros_like(sim)
-    if b == 1:
-        return g
-    for i in range(b):
-        if mask[i] == 0.0:
-            continue
-        masked = sim[i].copy()
-        masked[i] = -np.inf
-        j = int(np.argmax(masked))
-        hinge = dpl.dynamic_margin(estimates[i], m_base) + sim[i, j] - sim[i, i]
-        if hinge > 0.0:
-            g[i, j] += 1.0 / b
-            g[i, i] -= 1.0 / b
+    g[rows, j[rows]] = 1.0 / b
+    g[rows, rows] = -1.0 / b
     return g
 
 
@@ -371,7 +351,8 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     Metrics rows are dicts matching the CSV header
     epoch,iter,loss_total,loss_rank,loss_kl,loss_soft,masked_count,mean_cleanliness.
     With `resume`, training continues from the checkpointed epoch and
-    reproduces the uninterrupted run bit-for-bit.
+    reproduces the uninterrupted run bit-for-bit. A step whose total loss
+    is not finite raises FloatingPointError before the parameters move.
     """
     cfg.validate()
     if not records:
@@ -407,6 +388,10 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
             breakdown, grads, estimates, mask, sim, outliers = loss_and_grad(
                 params, refs[idx], mods[idx], tgts[idx], mem, cfg, rng
             )
+            if not np.isfinite(breakdown.total):
+                raise FloatingPointError(
+                    f"epoch {epoch}, iter {it + 1}: loss_total is {breakdown.total}"
+                )
             adamw_step(params, grads, opt, cfg.learning_rate, cfg.weight_decay)
             if not cfg.has("no_history"):
                 mem.prev_similarity = sim

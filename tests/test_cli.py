@@ -217,3 +217,38 @@ def test_train_ref_wrong_length_exit_4(tmp_path, capsys):
     code = cli.main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == 4
     assert "differ in length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_checkpoint_width_mismatch_exit_4(tmp_path, capsys, command):
+    cfg_path, _, run = full_pipeline(tmp_path)  # trained on d_in 10
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    wide_cfg = write_config(wide, {"gen": {"d_in": 12}})
+    assert cli.main(["gen", "--config", wide_cfg, "--out", str(wide / "data")]) == 0
+    code = cli.main([command, "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin",
+                     "--data", str(wide / "data"), "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "width 10" in err and "length 12" in err
+
+
+def _write_nan(path, key):
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj[key][0] = float("nan")
+    lines[2] = json.dumps(obj)  # json writes the literal NaN
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("file, key", [("dataset.jsonl", "ref"), ("dataset.jsonl", "mod"),
+                                       ("gallery.jsonl", "vec")])
+def test_non_finite_data_exit_5(tmp_path, capsys, file, key):
+    cfg_path = write_config(tmp_path, {"train": {"ablations": ["no_mke"]}})
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg_path, "--out", str(data)]) == 0
+    _write_nan(data / file, key)
+    code = cli.main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 5
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()

@@ -129,6 +129,17 @@ def test_dynamic_margin_domain_error():
         dpl.dynamic_margin(1.2, 0.2)
     with pytest.raises(DomainError):
         dpl.dynamic_margin(-0.1, 0.2)
+    with pytest.raises(DomainError, match="1.2"):
+        dpl.dynamic_margin(np.array([0.0, 0.5, 1.2, 1.0]), 0.2)
+    with pytest.raises(DomainError):
+        dpl.dynamic_margin(np.array([0.3, np.nan]), 0.2)
+
+
+def test_dynamic_margin_array_matches_scalars():
+    e = np.linspace(0, 1, 11)
+    got = dpl.dynamic_margin(e, 0.2)
+    assert got.shape == (11,)
+    np.testing.assert_allclose(got, [dpl.dynamic_margin(x, 0.2) for x in e], rtol=1e-15, atol=0)
 
 
 def test_soft_margin_hinge_inactive():

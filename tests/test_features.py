@@ -3,6 +3,7 @@ import pytest
 
 from habit import features
 from habit.errors import DimensionMismatch, ZeroRow
+from habit.train import _encode_batch
 
 
 def test_normalize_rows_345_triangle():
@@ -30,57 +31,30 @@ def test_normalize_rows_zero_row_raises():
         features.normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
 
+def pool(f):
+    """Mean-then-normalize pooling of unit token rows f (Q, D), through the one encoder.
+
+    An identity encoder (w = I, b = 0) passes the tokens through unchanged, so the
+    pooled output is the pooling step alone.
+    """
+    q, d = f.shape
+    _, _, _, _, pooled = _encode_batch(np.eye(q * d), np.zeros(q * d), f.reshape(1, q * d), q, d)
+    return pooled[0]
+
+
 def test_pool_single_row_identity():
     f = features.normalize_rows([[2.0, 1.0, 2.0]])
-    np.testing.assert_allclose(features.pool(f), f[0], atol=1e-15)
-
-
-def test_pool_opposite_rows_cancel():
-    with pytest.raises(ZeroRow):
-        features.pool(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    np.testing.assert_allclose(pool(f), f[0], atol=1e-15)
 
 
 def test_pool_matches_mean_then_normalize():
     rng = np.random.default_rng(7)
     f = features.normalize_rows(rng.standard_normal((4, 8)))
     v = sum(f[i] for i in range(4)) / 4.0
-    np.testing.assert_allclose(features.pool(f), v / np.linalg.norm(v), atol=1e-12)
-
-
-def test_pool_permutation_invariant():
-    rng = np.random.default_rng(8)
-    f = features.normalize_rows(rng.standard_normal((5, 6)))
-    perm = rng.permutation(5)
-    np.testing.assert_allclose(features.pool(f), features.pool(f[perm]), atol=1e-14)
-
-
-def test_similarity_self_and_orthogonal():
-    q = np.array([[1.0, 0.0], [0.0, 1.0]])
-    s = features.similarity_matrix(q, q)
-    np.testing.assert_allclose(np.diag(s), [1.0, 1.0], atol=1e-15)
-    assert abs(s[0, 1]) < 1e-15
-
-
-def test_similarity_matches_double_loop():
-    rng = np.random.default_rng(3)
-    q = features.normalize_rows(rng.standard_normal((3, 5)))
-    t = features.normalize_rows(rng.standard_normal((3, 5)))
-    s = features.similarity_matrix(q, t)
-    for b in range(3):
-        for j in range(3):
-            assert abs(s[b, j] - float(np.dot(q[b], t[j]))) < 1e-12
-
-
-def test_similarity_self_symmetric_unit_diagonal():
-    rng = np.random.default_rng(11)
-    x = features.normalize_rows(rng.standard_normal((6, 4)))
-    s = features.similarity_matrix(x, x)
-    np.testing.assert_allclose(s, s.T, atol=1e-14)
-    np.testing.assert_allclose(np.diag(s), np.ones(6), atol=1e-12)
-    assert np.all(np.isfinite(s))
-    assert np.all(np.abs(s) <= 1 + 1e-12)
+    np.testing.assert_allclose(pool(f), v / np.linalg.norm(v), atol=1e-12)
 
 
 def test_similarity_dimension_mismatch():
+    # queries of width 4 against an encoder built for width 3
     with pytest.raises(DimensionMismatch):
-        features.similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
+        _encode_batch(np.ones((2, 3)), np.zeros(2), np.ones((2, 4)), 1, 2)

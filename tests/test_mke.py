@@ -11,6 +11,12 @@ def random_tokens(rng, q=4, d=8):
     return features.normalize_rows(rng.standard_normal((q, d)))
 
 
+def pooled(token_mats):
+    """Mean-pooled unit vector of each (Q, D) token matrix, stacked."""
+    v = np.stack([f.mean(axis=0) for f in token_mats])
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def joint_oracle(fc, ft, tau):
     qc, qt = fc.shape[0], ft.shape[0]
     cells = np.empty((qc, qt))
@@ -116,7 +122,7 @@ def test_cleanliness_matches_explicit_recomputation():
 def test_estimate_batch_single_sample():
     rng = np.random.default_rng(9)
     fc, ft = random_tokens(rng), random_tokens(rng)
-    sim = np.array([[float(np.dot(features.pool(fc), features.pool(ft)))]])
+    sim = pooled([fc]) @ pooled([ft]).T
     np.testing.assert_allclose(mke.estimate_batch([fc], [ft], sim, 0.1, 0.1), [1.0])
 
 
@@ -124,9 +130,7 @@ def test_estimate_batch_duplicate_of_standard():
     rng = np.random.default_rng(10)
     composed = [random_tokens(rng) for _ in range(4)]
     targets = [random_tokens(rng) for _ in range(4)]
-    q = np.stack([features.pool(f) for f in composed])
-    t = np.stack([features.pool(f) for f in targets])
-    sim = features.similarity_matrix(q, t)
+    sim = pooled(composed) @ pooled(targets).T
     std = mke.select_standard(sim, 0.1)
     dup = (std + 1) % 4
     composed[dup] = composed[std].copy()
@@ -140,9 +144,7 @@ def test_estimate_batch_composition_and_permutation():
     rng = np.random.default_rng(11)
     composed = [random_tokens(rng) for _ in range(8)]
     targets = [random_tokens(rng) for _ in range(8)]
-    q = np.stack([features.pool(f) for f in composed])
-    t = np.stack([features.pool(f) for f in targets])
-    sim = features.similarity_matrix(q, t)
+    sim = pooled(composed) @ pooled(targets).T
     est = mke.estimate_batch(composed, targets, sim, 0.1, 0.1)
     std = mke.select_standard(sim, 0.1)
     for b in range(8):

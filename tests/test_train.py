@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from habit import dpl, features, synth, train as T
-from habit.errors import ConfigError, DimensionMismatch, FormatError
+from habit.errors import ConfigError, DimensionMismatch, FormatError, ZeroRow
 
 
 def make_batch(seed=0, b=4, d_in=6):
@@ -22,42 +22,77 @@ def small_cfg(**kw):
     return T.TrainConfig(**base)
 
 
+def encode(w, b, x, q, d):
+    """Tokens and pooled unit vectors of the one batch encoder."""
+    f, _, _, _, pooled = T._encode_batch(w, b, np.asarray(x, dtype=float), q, d)
+    return f, pooled
+
+
 def test_encode_composed_degenerate_affine():
     # zero weights: output is the normalized bias rows, independent of input
     q, d, d_in = 2, 3, 4
     params = T.init_params(d_in, q, d, seed=1)
     params.w_c[:] = 0.0
     params.b_c[:] = np.arange(1, q * d + 1, dtype=float)
-    out1 = T.encode_composed(params, np.ones(d_in), np.zeros(d_in))
-    out2 = T.encode_composed(params, -3 * np.ones(d_in), 5 * np.ones(d_in))
+    x = [np.concatenate([np.ones(d_in), np.zeros(d_in)]),
+         np.concatenate([-3 * np.ones(d_in), 5 * np.ones(d_in)])]
+    f, _ = encode(params.w_c, params.b_c, x, q, d)
     expected = features.normalize_rows(params.b_c.reshape(q, d))
-    np.testing.assert_allclose(out1, expected, atol=1e-15)
-    np.testing.assert_allclose(out2, expected, atol=1e-15)
+    np.testing.assert_allclose(f[0], expected, atol=1e-15)
+    np.testing.assert_allclose(f[1], expected, atol=1e-15)
 
 
 def test_encode_target_q1_collapse():
+    # one token: pooling is the identity, so the pooled vector is the unit projection
     params = T.init_params(4, 1, 4, seed=2)
     x = np.random.default_rng(3).standard_normal(4)
-    f = T.encode_target(params, x)
+    f, pooled = encode(params.w_t, params.b_t, x[None, :], 1, 4)
     proj = params.w_t @ x + params.b_t
-    np.testing.assert_allclose(features.pool(f), proj / np.linalg.norm(proj), atol=1e-12)
+    np.testing.assert_allclose(pooled[0], proj / np.linalg.norm(proj), atol=1e-12)
+    np.testing.assert_allclose(pooled[0], f[0, 0], atol=1e-15)
+
+
+def test_encode_opposite_tokens_zero_row():
+    # two unit tokens that cancel leave a zero mean: the pooled vector is undefined
+    w = np.zeros((4, 1))
+    b = np.array([1.0, 0.0, -1.0, 0.0])
+    with pytest.raises(ZeroRow):
+        T._encode_batch(w, b, np.ones((1, 1)), 2, 2)
+
+
+def test_encode_pool_permutation_invariant():
+    # permuting the token blocks of (w, b) permutes the tokens, not the pooled vector
+    q, d, d_in = 5, 6, 3
+    params = T.init_params(d_in, q, d, seed=8)
+    perm = np.random.default_rng(8).permutation(q)
+    rows = (perm[:, None] * d + np.arange(d)).ravel()
+    x = np.random.default_rng(9).standard_normal((4, d_in))
+    f, pooled = encode(params.w_t, params.b_t, x, q, d)
+    f2, pooled2 = encode(params.w_t[rows], params.b_t[rows], x, q, d)
+    np.testing.assert_array_equal(f2, f[:, perm])
+    np.testing.assert_allclose(pooled2, pooled, atol=1e-14)
 
 
 def test_encode_matches_dense_matmul_oracle():
     params = T.init_params(6, 3, 5, seed=4)
     rng = np.random.default_rng(5)
-    ref, mod = rng.standard_normal(6), rng.standard_normal(6)
-    got = T.encode_composed(params, ref, mod)
-    x = np.concatenate([ref, mod])
-    z = np.array([sum(params.w_c[i, j] * x[j] for j in range(12)) + params.b_c[i] for i in range(15)])
-    expected = features.normalize_rows(z.reshape(3, 5))
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    x = rng.standard_normal((2, 12))
+    f, pooled = encode(params.w_c, params.b_c, x, 3, 5)
+    for n in range(2):
+        z = np.array([sum(params.w_c[i, j] * x[n, j] for j in range(12)) + params.b_c[i]
+                      for i in range(15)])
+        tokens = features.normalize_rows(z.reshape(3, 5))
+        np.testing.assert_allclose(f[n], tokens, atol=1e-12)
+        v = sum(tokens[i] for i in range(3)) / 3.0
+        np.testing.assert_allclose(pooled[n], v / np.linalg.norm(v), atol=1e-12)
 
 
 def test_encode_dimension_mismatch():
     params = T.init_params(6, 2, 4, seed=0)
     with pytest.raises(DimensionMismatch):
-        T.encode_target(params, np.ones(5))
+        T._encode_batch(params.w_t, params.b_t, np.ones((3, 5)), 2, 4)
+    with pytest.raises(DimensionMismatch):
+        T._encode_batch(params.w_c, params.b_c, np.ones((3, 6)), 2, 4)
 
 
 def finite_diff_check(flags, seed=0, with_history=True, h=1e-5):
@@ -168,6 +203,43 @@ def test_no_mke_forces_base_margin():
     assert bd.soft == pytest.approx(expected, abs=1e-15)
 
 
+def grad_soft_loop(sim, estimates, mask, m_base):
+    """Per-row reference subgradient: +-1/B at each active row's hardest negative."""
+    b = sim.shape[0]
+    g = np.zeros_like(sim)
+    for i in range(b):
+        if mask[i] == 0.0 or b == 1:
+            continue
+        j = min((c for c in range(b) if c != i), key=lambda c: (-sim[i, c], c))
+        if dpl.dynamic_margin(estimates[i], m_base) + sim[i, j] - sim[i, i] > 0.0:
+            g[i, j] += 1.0 / b
+            g[i, i] -= 1.0 / b
+    return g
+
+
+def test_grad_soft_equals_loop_reference():
+    rng = np.random.default_rng(31)
+    # ties: row 0's hardest negatives are columns 1 and 3, row 2's are 0 and 1;
+    # row 1 is masked though its hinge is positive
+    s = np.array([[0.1, 0.8, 0.2, 0.8],
+                  [0.9, 0.0, 0.5, 0.3],
+                  [0.7, 0.7, 0.6, 0.1],
+                  [0.2, 0.1, 0.3, 0.95]])
+    e = np.array([0.5, 1.0, 0.3, 0.9])
+    m = np.array([1.0, 0.0, 1.0, 1.0])
+    g = T._grad_soft(s, e, m, 0.2)
+    assert (g == grad_soft_loop(s, e, m, 0.2)).all()
+    assert g[0, 1] == 0.25 and g[0, 3] == 0.0 and g[2, 0] == 0.25 and not g[1].any()
+    # B = 1 has no negative
+    assert (T._grad_soft(np.array([[0.3]]), np.ones(1), np.ones(1), 0.2) == 0.0).all()
+    for b in (2, 3, 8, 32):
+        for _ in range(20):
+            s = np.round(rng.uniform(-1, 1, size=(b, b)), 1)  # coarse grid: many ties
+            e = rng.uniform(0, 1, size=b)
+            m = rng.integers(0, 2, size=b).astype(float)
+            assert (T._grad_soft(s, e, m, 0.2) == grad_soft_loop(s, e, m, 0.2)).all()
+
+
 def tiny_dataset(sigma=0.0, n=24, seed=5):
     cfg = synth.GenConfig(
         n_triplets=n, n_gallery=n + 10, d_in=8, n_attrs=4, sigma=sigma,
@@ -262,3 +334,13 @@ def test_train_config_validation():
         small_cfg(ablations=frozenset({"bogus"})).validate()
     with pytest.raises(ConfigError):
         T.train([], [], small_cfg())
+
+
+def test_train_non_finite_loss_raises():
+    # no_mke skips the estimator, so a NaN input reaches the losses
+    records, gallery = tiny_dataset()
+    records[3].ref_vec = records[3].ref_vec.copy()
+    records[3].ref_vec[0] = np.nan
+    cfg = small_cfg(epochs=2, batch_size=8, q_tokens=2, dim=6, seed=27, ablations={"no_mke"})
+    with pytest.raises(FloatingPointError, match="loss_total is nan"):
+        T.train(records, gallery, cfg)
