@@ -139,9 +139,13 @@ def _load_data(data_dir: Path):
     return records, gallery
 
 
-def _load_run(ckpt_path: Path, data_dir: Path):
-    """Checkpoint and data for eval and detect; the checkpoint must fit the data's width."""
+def _load_run(cfg: dict, ckpt_path: Path, data_dir: Path):
+    """Checkpoint and data for eval and detect; the checkpoint must fit the config and the data."""
     ckpt = train_mod.load_checkpoint(ckpt_path)
+    for key in ("q_tokens", "dim"):
+        got, want = getattr(ckpt.params, key), cfg["train"][key]
+        if got != want:
+            raise FormatError(f"{ckpt_path}: checkpoint {key} {got} != config train.{key} {want}")
     records, gallery = _load_data(data_dir)
     width = gallery[0].vec.shape[0] if gallery else ckpt.params.d_in
     if width != ckpt.params.d_in:
@@ -208,7 +212,7 @@ def detect_masks(params, records, gallery, tcfg):
 
 
 def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> int:
-    ckpt, records, gallery = _load_run(ckpt_path, data_dir)
+    ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
     tcfg = train_config(cfg)
     train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
     cleanliness, mask, covered = detect_masks(ckpt.params, train_records, gallery, tcfg)
@@ -233,7 +237,7 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> int
 
 
 def cmd_eval(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None) -> int:
-    ckpt, records, gallery = _load_run(ckpt_path, data_dir)
+    ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
     _, test_records = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
     if not test_records:
         raise ConfigError("empty test split; nothing to evaluate")

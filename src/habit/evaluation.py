@@ -35,11 +35,18 @@ def pooled_targets(params: EncoderParams, vecs):
 
 
 def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
-    """Gallery ids ranked by descending cosine to each query; stable tie order."""
+    """Gallery ids ranked by descending cosine to each query; stable tie order.
+
+    numpy's default (SIMD) argsort may order ties any way, so the rows with a
+    tie or a NaN among their sorted scores are sorted again, stably.
+    """
     q = pooled_queries(params, refs, mods)
-    g = pooled_targets(params, gallery_vecs)
-    scores = q @ g.T
-    return np.argsort(-scores, axis=1, kind="stable")
+    neg = q @ -pooled_targets(params, gallery_vecs).T
+    ranked = np.argsort(neg, axis=1)
+    s = np.take_along_axis(neg, ranked, axis=1)
+    redo = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    ranked[redo] = np.argsort(neg[redo], axis=1, kind="stable")
+    return ranked
 
 
 def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
@@ -48,15 +55,13 @@ def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
     true_ids = np.asarray(true_target_ids)
     if ranked.shape[0] != true_ids.shape[0]:
         raise LengthMismatch("one ranked list per query required")
-    n = ranked.shape[0]
-    positions = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        where = np.flatnonzero(ranked[i] == true_ids[i])
-        if where.size == 0:
-            raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
-        positions[i] = where[0]
+    hit = ranked == true_ids[:, None]
+    if not hit.any(axis=1).all():
+        i = int(np.argmin(hit.any(axis=1)))
+        raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
+    positions = hit.argmax(axis=1)
     recall = {int(k): float(np.mean(positions < k)) for k in ks}
-    return RetrievalReport(recall_at=recall, n_queries=n)
+    return RetrievalReport(recall_at=recall, n_queries=ranked.shape[0])
 
 
 def build_subsets(true_target_ids, n_gallery, seed, size=6):

@@ -233,6 +233,21 @@ def test_checkpoint_width_mismatch_exit_4(tmp_path, capsys, command):
     assert "width 10" in err and "length 12" in err
 
 
+@pytest.mark.parametrize("key, value", [("q_tokens", 3), ("dim", 5)])
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_checkpoint_config_mismatch_exit_4(tmp_path, capsys, command, key, value):
+    _, data, run = full_pipeline(tmp_path)  # trained with q_tokens 2, dim 6
+    other = tmp_path / "other"
+    other.mkdir()
+    other_cfg = write_config(other, {"train": {key: value}})
+    code = cli.main([command, "--config", other_cfg, "--ckpt", f"{run}/checkpoint.bin",
+                     "--data", data, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"checkpoint {key} {SMALL['train'][key]}" in err and f"train.{key} {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _write_nan(path, key):
     lines = path.read_text().splitlines()
     obj = json.loads(lines[2])

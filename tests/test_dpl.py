@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_acceptance import dbscan_oracle as acceptance_dbscan_oracle
 
 from habit import dpl
 from habit.errors import DegenerateBatch, DimensionMismatch, DomainError
@@ -49,6 +51,22 @@ def test_dbscan_matches_oracle_on_random_instances():
         eps = float(rng.uniform(0.005, 0.2))
         min_pts = int(rng.integers(1, 8))
         assert dpl.dbscan_1d(values, eps, min_pts) == dbscan_oracle(values, eps, min_pts)
+
+
+@st.composite
+def _dbscan_cases(draw):
+    eps = draw(st.sampled_from([0.125, 0.1, 0.05]) | st.floats(0.001, 0.5))
+    # multiples of eps put some |v_i - v_j| exactly at eps
+    value = st.floats(0.0, 1.0) | st.integers(0, 12).map(lambda k: k * eps)
+    values = draw(st.lists(value, max_size=40))
+    return values, eps, draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_dbscan_cases())
+def test_dbscan_equals_acceptance_oracle_property(case):
+    values, eps, min_pts = case
+    assert dpl.dbscan_1d(values, eps, min_pts) == acceptance_dbscan_oracle(values, eps, min_pts)
 
 
 def test_chrono_mask_intersection():

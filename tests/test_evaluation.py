@@ -40,6 +40,10 @@ def test_recall_matches_counting_oracle():
 def test_recall_missing_target():
     with pytest.raises(MissingTarget):
         evaluation.recall_at_k(np.array([[0, 1]]), [5], [1])
+    # the error names the first query whose target is missing, not query 0
+    ranked = np.array([[0, 1, 2], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
+    with pytest.raises(MissingTarget, match="query 1: target 7 "):
+        evaluation.recall_at_k(ranked, [2, 7, 1, 9], [1])
 
 
 def make_model(seed=0):
@@ -134,3 +138,50 @@ def test_detection_permutation_equivariance():
 def test_detection_length_mismatch():
     with pytest.raises(LengthMismatch):
         evaluation.detection_metrics(np.ones(3), np.ones(2), ["clean", "clean"])
+
+
+def identity_params(d):
+    """Encoder whose pooled query is ref / |ref| and whose pooled target is vec / |vec|."""
+    w_c = np.hstack([np.eye(d), np.zeros((d, d))])
+    return T.EncoderParams(w_c, np.zeros(d), np.eye(d), np.zeros(d), q_tokens=1, dim=d)
+
+
+def ranking_case(params, refs, gal):
+    """Check rank_gallery against the stable argsort; return how many rows have a tie."""
+    mods = np.ones_like(refs)
+    scores = evaluation.pooled_queries(params, refs, mods) @ evaluation.pooled_targets(params, gal).T
+    want = np.argsort(-scores, axis=1, kind="stable")
+    got = evaluation.rank_gallery(params, refs, mods, gal)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+    return int((np.diff(np.sort(scores, axis=1), axis=1) == 0).any(axis=1).sum())
+
+
+def test_rank_gallery_equals_stable_argsort():
+    params = T.init_params(8, 2, 6, seed=0)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        refs = rng.standard_normal((n, 8))
+        # at most 4 distinct rows in a gallery of 5 or more: every query row has ties
+        base = rng.standard_normal((int(rng.integers(1, 5)), 8))
+        gal = base[rng.integers(0, base.shape[0], size=int(rng.integers(5, 300)))]
+        assert ranking_case(params, refs, gal) == n
+        # distinct random rows: no ties
+        assert ranking_case(params, refs, rng.standard_normal((int(rng.integers(3, 300)), 8))) == 0
+        # G = 1, and G = 2 with and without a tie
+        assert ranking_case(params, refs, gal[:1]) == 0
+        assert ranking_case(params, refs, base[[0, 0]]) == n
+        assert ranking_case(params, refs, rng.standard_normal((2, 8))) == 0
+        # a NaN gallery entry puts a NaN in every row
+        nan_gal = rng.standard_normal((50, 8))
+        nan_gal[int(rng.integers(50))] = np.nan
+        ranking_case(params, refs, nan_gal)
+        # tied and untied rows mixed: a query on the diagonal of two axes scores both
+        # axes alike, a random query scores every entry differently
+        ident = identity_params(3)
+        axes = np.vstack([np.eye(3), -np.eye(3), rng.standard_normal((40, 3))])
+        gal = axes[rng.permutation(axes.shape[0])]
+        grid = np.array([[1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, 3.0], [1.0, 0.0, 0.0]])
+        refs3 = np.vstack([grid, rng.standard_normal((n, 3))])[rng.permutation(n + 4)]
+        assert ranking_case(ident, refs3, gal) == 4
