@@ -156,7 +156,7 @@ def _load_run(cfg: dict, ckpt_path: Path, data_dir: Path):
     return ckpt, records, gallery
 
 
-def cmd_gen(cfg: dict, out_dir: Path) -> int:
+def cmd_gen(cfg: dict, out_dir: Path) -> None:
     g = gen_config(cfg)
     records, gallery = synth.generate(g)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,10 +164,9 @@ def cmd_gen(cfg: dict, out_dir: Path) -> int:
     synth.write_gallery(gallery, out_dir / "gallery.jsonl")
     write_resolved(cfg, out_dir)
     log.info("wrote %d records / %d gallery entries to %s", len(records), len(gallery), out_dir)
-    return 0
 
 
-def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> int:
+def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> None:
     records, gallery = _load_data(data_dir)
     tcfg = train_config(cfg)
     train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
@@ -185,7 +184,6 @@ def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> int:
             writer.writerow([repr(row[h]) if isinstance(row[h], float) else row[h] for h in header])
     write_resolved(cfg, out_dir)
     log.info("trained %d epochs, checkpoint at %s", tcfg.epochs, out_dir / "checkpoint.bin")
-    return 0
 
 
 def detect_masks(params, records, gallery, tcfg):
@@ -200,8 +198,8 @@ def detect_masks(params, records, gallery, tcfg):
     shape = (params.q_tokens, params.dim)
     for idx in batches:
         x_c = np.concatenate([refs[idx], mods[idx]], axis=1)
-        f_c, _, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
-        f_t, _, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], *shape)
+        f_c, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
+        f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], *shape)
         est = mke.estimate_batch(f_c, f_t, q @ t.T, tcfg.tau, tcfg.tau_mk)
         outliers = dpl.dbscan_1d(est, tcfg.dbscan_eps, tcfg.min_pts())
         cleanliness[idx] = est
@@ -211,7 +209,7 @@ def detect_masks(params, records, gallery, tcfg):
     return cleanliness, mask, covered
 
 
-def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> int:
+def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> evaluation.DetectionReport:
     ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
     tcfg = train_config(cfg)
     train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
@@ -233,10 +231,12 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> int
             writer.writerow([name, repr(getattr(report, name))])
     write_resolved(cfg, out_dir)
     log.info("detection F1=%.4f AUC=%.4f", report.f1, report.auc)
-    return 0
+    return report
 
 
-def cmd_eval(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None) -> int:
+def cmd_eval(
+    cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None
+) -> evaluation.RetrievalReport:
     ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
     _, test_records = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
     if not test_records:
@@ -246,12 +246,12 @@ def cmd_eval(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None)
     mods = np.stack([r.mod_vec for r in test_records])
     gal = np.stack([g.vec for g in gallery])
     true_ids = [r.target_id for r in test_records]
-
-    ranked = evaluation.rank_gallery(ckpt.params, refs, mods, gal)
-    report = evaluation.recall_at_k(ranked, true_ids, ks)
     subsets = evaluation.build_subsets(
         true_ids, len(gallery), cfg["eval"]["subset_seed"], cfg["eval"]["subset_size"]
     )
+
+    ranked = evaluation.rank_gallery(ckpt.params, refs, mods, gal)
+    report = evaluation.recall_at_k(ranked, true_ids, ks)
     sub = evaluation.recall_subset(ckpt.params, refs, mods, gal, true_ids, subsets)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,13 +264,13 @@ def cmd_eval(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None)
             writer.writerow(["recall_sub", k, repr(sub[k])])
     write_resolved(cfg, out_dir)
     log.info("R@K over %d queries: %s", report.n_queries, report.recall_at)
-    return 0
+    return report
 
 
 SWEEP_AXES = {"sigma": ("gen", "sigma"), "kappa": ("train", "kappa"), "gamma": ("train", "gamma")}
 
 
-def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> int:
+def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> None:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {sorted(SWEEP_AXES)}")
     if not values:
@@ -282,32 +282,21 @@ def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> int:
         run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
         run_dir = out_dir / f"{axis}_{value:g}"
-        status = "ok"
-        r10 = ""
-        f1 = ""
         try:
             cmd_gen(run_cfg, run_dir / "data")
             cmd_train(run_cfg, run_dir / "data", run_dir)
-            cmd_eval(run_cfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
-            cmd_detect(run_cfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
-            with open(run_dir / "report.csv") as fh:
-                for row in csv.DictReader(fh):
-                    if row["metric"] == "recall" and row["k"] == "10":
-                        r10 = row["value"]
-            with open(run_dir / "detection.csv") as fh:
-                for line in fh:
-                    parts = line.rstrip("\n").split(",")
-                    if parts[0] == "f1":
-                        f1 = parts[1]
+            retrieval = cmd_eval(run_cfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
+            detection = cmd_detect(run_cfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
         except (HabitError, FloatingPointError) as exc:
-            status = f"failed: {exc}"
             log.warning("sweep value %s failed: %s", value, exc)
-        rows.append([axis, value, status, r10, f1])
+            rows.append([axis, value, f"failed: {exc}", "", ""])
+            continue
+        r10 = repr(retrieval.recall_at[10]) if 10 in retrieval.recall_at else ""
+        rows.append([axis, value, "ok", r10, repr(detection.f1)])
     with open(out_dir / "sweep_summary.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["axis", "value", "status", "r_at_10", "detection_f1"])
         writer.writerows(rows)
-    return 0
 
 
 def build_parser():
@@ -354,20 +343,20 @@ def run(argv=None) -> int:
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
     if args.command == "gen":
-        return cmd_gen(cfg, out)
-    if args.command == "train":
-        return cmd_train(cfg, Path(args.data), out)
-    if args.command == "detect":
-        return cmd_detect(cfg, Path(args.ckpt), Path(args.data), out)
-    if args.command == "eval":
-        return cmd_eval(cfg, Path(args.ckpt), Path(args.data), out, _parse_ks(args.ks))
-    if args.command == "sweep":
+        cmd_gen(cfg, out)
+    elif args.command == "train":
+        cmd_train(cfg, Path(args.data), out)
+    elif args.command == "detect":
+        cmd_detect(cfg, Path(args.ckpt), Path(args.data), out)
+    elif args.command == "eval":
+        cmd_eval(cfg, Path(args.ckpt), Path(args.data), out, _parse_ks(args.ks))
+    else:  # sweep: the subparsers admit no other command
         try:
             values = [float(x) for x in args.values.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
-        return cmd_sweep(cfg, args.axis, values, out)
-    raise ConfigError(f"unknown command {args.command}")  # pragma: no cover
+        cmd_sweep(cfg, args.axis, values, out)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, MissingTarget
+from .errors import ConfigError, LengthMismatch, MissingTarget
 from .train import EncoderParams, _encode_batch
 
 
@@ -26,12 +26,12 @@ class DetectionReport:
 
 def pooled_queries(params: EncoderParams, refs, mods):
     x = np.concatenate([np.asarray(refs, float), np.asarray(mods, float)], axis=1)
-    return _encode_batch(params.w_c, params.b_c, x, params.q_tokens, params.dim)[4]
+    return _encode_batch(params.w_c, params.b_c, x, params.q_tokens, params.dim)[3]
 
 
 def pooled_targets(params: EncoderParams, vecs):
     v = np.asarray(vecs, dtype=np.float64)
-    return _encode_batch(params.w_t, params.b_t, v, params.q_tokens, params.dim)[4]
+    return _encode_batch(params.w_t, params.b_t, v, params.q_tokens, params.dim)[3]
 
 
 def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
@@ -66,6 +66,8 @@ def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
 
 def build_subsets(true_target_ids, n_gallery, seed, size=6):
     """Per-query candidate subsets: the true target plus seeded distractors."""
+    if not 1 <= size <= n_gallery:
+        raise ConfigError(f"subset size {size} must be between 1 and the gallery size {n_gallery}")
     rng = np.random.default_rng(seed)
     subsets = []
     for tid in true_target_ids:

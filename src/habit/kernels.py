@@ -5,9 +5,11 @@ pairs; each pair of a stack gets the bits of its own 2-D call. The loop
 kernels are the references that tests and benchmark checks compare
 against. `USE_NUMBA` is always False and stays for benchmark records.
 
-The MK kernels reduce the joint in memory order, so ``core(a, b)`` and
-``core(b, a)`` can differ in the last ulp; `mke` puts each pair in a
-canonical order first and is bitwise symmetric.
+Both MK kernels are bitwise symmetric: ``core(a, b) == core(b, a)``.
+Swapping a pair transposes its joint, so the marginals are left-to-right
+sums along one axis and the two all-cell sums (the softmax normaliser and
+the MI) add the cells in ascending order, neither of which depends on the
+joint's memory order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 USE_NUMBA = False
+
+
+def _sum_ascending(cells):
+    # sequential sum of the cells in ascending order: any permutation of
+    # the cells, such as a transpose, gives the same bits
+    total = 0.0
+    for v in np.sort(cells, axis=None):
+        total += v
+    return total
 
 
 def _mutual_knowledge_loops(fc, ft, tau):
@@ -33,35 +44,33 @@ def _mutual_knowledge_loops(fc, ft, tau):
             logits[i, j] = v
             if v > hi:
                 hi = v
-    total = 0.0
     for i in range(qc):
         for j in range(qt):
             logits[i, j] = np.exp(logits[i, j] - hi)
-            total += logits[i, j]
-    p = logits / total
+    p = logits / _sum_ascending(logits)
     prow = np.zeros(qc)
     pcol = np.zeros(qt)
     for i in range(qc):
         for j in range(qt):
             prow[i] += p[i, j]
             pcol[j] += p[i, j]
-    mk = 0.0
+    terms = np.empty((qc, qt))
     for i in range(qc):
         for j in range(qt):
-            mk += p[i, j] * np.log(p[i, j] / (prow[i] * pcol[j]))
-    if mk < 0.0:
-        mk = 0.0
-    return mk
+            terms[i, j] = p[i, j] * np.log(p[i, j] / (prow[i] * pcol[j]))
+    return max(_sum_ascending(terms), 0.0)
 
 
 def _mutual_knowledge_numpy(fc, ft, tau):
     logits = (fc @ np.swapaxes(ft, -1, -2)) / tau
     p = np.exp(logits - logits.max(axis=(-2, -1), keepdims=True))
-    p /= p.sum(axis=(-2, -1), keepdims=True)
-    prow = p.sum(axis=-1)
-    pcol = p.sum(axis=-2)
-    mk = np.sum(p * np.log(p / (prow[..., :, None] * pcol[..., None, :])), axis=(-2, -1))
-    return np.maximum(mk, 0.0)
+    cells = p.shape[:-2] + (-1,)
+    p /= np.sort(p.reshape(cells), axis=-1).sum(axis=-1)[..., None, None]
+    # cumsum adds left to right along its axis whatever the memory layout
+    prow = np.cumsum(p, axis=-1)[..., -1]
+    pcol = np.cumsum(p, axis=-2)[..., -1, :]
+    terms = p * np.log(p / (prow[..., :, None] * pcol[..., None, :]))
+    return np.maximum(np.sort(terms.reshape(cells), axis=-1).sum(axis=-1), 0.0)
 
 
 mutual_knowledge_core = _mutual_knowledge_numpy

@@ -2,7 +2,9 @@
 
 Per-sample cleanliness in (0, 1] is derived from how far a sample's
 token-level mutual information drifts from the batch's standard sample
-(the one with the lowest unmasked retrieval loss).
+(the one with the lowest unmasked retrieval loss). The MK kernel is bitwise
+symmetric, ``mutual_knowledge_core(a, b) == mutual_knowledge_core(b, a)``, so
+the standard sample's cleanliness is exactly 1.
 """
 
 from __future__ import annotations
@@ -15,30 +17,11 @@ from .kernels import mutual_knowledge_core
 TR_DENOM_EPS = 1e-8
 
 
-def _canonical_pairs(a, b):
-    """Each pair (a[..., :, :], b[..., :, :]) in canonical (shape, bytes) order.
-
-    The kernels reduce the joint in memory order, so swapping a pair would
-    change the last ulp of its MK; the swapped joint is the transpose,
-    which has the same MI. A pair is swapped when b's (Q, D) shape is
-    smaller, or, with equal shapes, when b's raw bytes are smaller at the
-    first byte where the two differ, as Python compares ``tobytes()``.
-    """
-    if a.shape[-2:] != b.shape[-2:]:
-        return (b, a) if b.shape[-2:] < a.shape[-2:] else (a, b)
-    ra = np.ascontiguousarray(a).view(np.uint8).reshape(a.shape[:-2] + (-1,))
-    rb = np.ascontiguousarray(b).view(np.uint8).reshape(b.shape[:-2] + (-1,))
-    first = np.argmax(ra != rb, axis=-1)[..., None]
-    swap = (np.take_along_axis(rb, first, -1) < np.take_along_axis(ra, first, -1))[..., None]
-    return np.where(swap, b, a), np.where(swap, a, b)
-
-
 def mutual_knowledge(f_c, f_t, tau_mk: float) -> float:
     """Mutual information of the induced token joint against its marginals.
 
     MI is symmetric, and so is this function, bitwise:
-    ``mutual_knowledge(a, b) == mutual_knowledge(b, a)`` exactly, because
-    the two matrices reach the kernel in `_canonical_pairs` order.
+    ``mutual_knowledge(a, b) == mutual_knowledge(b, a)`` exactly.
     """
     f_c = np.asarray(f_c, dtype=np.float64)
     f_t = np.asarray(f_t, dtype=np.float64)
@@ -46,7 +29,7 @@ def mutual_knowledge(f_c, f_t, tau_mk: float) -> float:
         raise DimensionMismatch(
             f"token matrices disagree on D: {f_c.shape} vs {f_t.shape}"
         )
-    return float(mutual_knowledge_core(*_canonical_pairs(f_c, f_t), tau_mk))
+    return float(mutual_knowledge_core(f_c, f_t, tau_mk))
 
 
 def select_standard(sim, tau: float) -> int:
@@ -104,7 +87,7 @@ def estimate_batch(
     # pair slots: [c_i, t_i] | [c_i, t_s] | [c_s, t_i], for i = 0..B-1
     left = np.concatenate([c, c, np.broadcast_to(c[s], c.shape)])
     right = np.concatenate([t, np.broadcast_to(t[s], t.shape), t])
-    mk = mutual_knowledge_core(*_canonical_pairs(left, right), tau_mk)
+    mk = mutual_knowledge_core(left, right, tau_mk)
     mk_std = mk[s]
     drift = np.abs(mk_std - mk)
     if use_transition_rate:

@@ -130,7 +130,7 @@ def _encode_batch(w, b, x, q_tokens, dim):
     """Batch affine encode + row normalize + mean pool, keeping backward intermediates.
 
     The one encoder of train, eval and detect: x is (B, d) with d == w.shape[1].
-    Returns (tokens, row_norms, pooled_mean, pooled_norms, pooled_unit).
+    Returns (tokens, row_norms, pooled_norms, pooled_unit).
     """
     if x.shape[-1] != w.shape[1]:
         raise DimensionMismatch(f"input width {x.shape[-1]} != encoder input width {w.shape[1]}")
@@ -145,7 +145,7 @@ def _encode_batch(w, b, x, q_tokens, dim):
     if np.any(vn < ROW_NORM_EPS):
         raise ZeroRow("degenerate pooled vector during batch encoding")
     pooled = vmean / vn[:, None]
-    return f, rn, vmean, vn, pooled
+    return f, rn, vn, pooled
 
 
 def _backprop_encoder(d_pooled, f, rn, vn, pooled, x, q_tokens, dim):
@@ -219,10 +219,10 @@ def loss_and_grad(
         raise DegenerateBatch("training batch must have B >= 2")
 
     x_c = np.concatenate([refs, mods], axis=1)
-    f_c, rn_c, _, vn_c, q_pool = _encode_batch(
+    f_c, rn_c, vn_c, q_pool = _encode_batch(
         params.w_c, params.b_c, x_c, params.q_tokens, params.dim
     )
-    f_t, rn_t, _, vn_t, t_pool = _encode_batch(
+    f_t, rn_t, vn_t, t_pool = _encode_batch(
         params.w_t, params.b_t, tgts, params.q_tokens, params.dim
     )
     sim = q_pool @ t_pool.T

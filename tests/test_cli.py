@@ -123,6 +123,19 @@ def test_eval_bad_ks_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("size, code", [(0, 2), (60, 0), (61, 2)])
+def test_eval_subset_size_bounds(tmp_path, capsys, size, code):
+    # a subset holds the target plus size - 1 distinct distractors from the
+    # 60-entry gallery; a size outside 1..60 is a config error, not a hang
+    cfg_path, data, run = full_pipeline(tmp_path, {"eval": {"subset_size": size}})
+    out = str(tmp_path / "e")
+    assert cli.main(
+        ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data, "--out", out]
+    ) == code
+    if code:
+        assert "subset size" in capsys.readouterr().err
+
+
 def test_detect_outputs(tmp_path):
     cfg_path, data, run = full_pipeline(tmp_path)
     out = str(tmp_path / "det")

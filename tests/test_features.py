@@ -38,7 +38,7 @@ def pool(f):
     pooled output is the pooling step alone.
     """
     q, d = f.shape
-    _, _, _, _, pooled = _encode_batch(np.eye(q * d), np.zeros(q * d), f.reshape(1, q * d), q, d)
+    _, _, _, pooled = _encode_batch(np.eye(q * d), np.zeros(q * d), f.reshape(1, q * d), q, d)
     return pooled[0]
 
 

@@ -8,8 +8,10 @@ from habit.features import normalize_rows
 @pytest.mark.parametrize("tau_mk", [0.1, 0.01])
 def test_mk_stack_equals_per_pair_calls(tau_mk):
     # estimate_batch relies on this: one stacked call gives each pair the
-    # bits of its own 2-D call, so the standard scores exactly 1.0
+    # bits of its own 2-D call, so the standard scores exactly 1.0; both
+    # kernels give a swapped pair the same bits, also where qc != qt
     rng = np.random.default_rng(2)
+    swapped_shapes = 0
     for _ in range(50):
         n, qc, qt = (int(x) for x in rng.integers(1, 9, size=3))
         d = int(rng.integers(2, 17))
@@ -20,6 +22,12 @@ def test_mk_stack_equals_per_pair_calls(tau_mk):
         stacked = kernels._mutual_knowledge_numpy(fc, ft, tau_mk)
         single = [float(kernels._mutual_knowledge_numpy(fc[i], ft[i], tau_mk)) for i in range(n)]
         assert stacked.tolist() == single
+        assert stacked.tolist() == kernels._mutual_knowledge_numpy(ft, fc, tau_mk).tolist()
+        for i in range(n):
+            loops = kernels._mutual_knowledge_loops(fc[i], ft[i], tau_mk)
+            assert loops == kernels._mutual_knowledge_loops(ft[i], fc[i], tau_mk)
+        swapped_shapes += qc != qt
+    assert swapped_shapes > 0
 
 
 def test_mk_paths_agree():

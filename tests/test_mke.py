@@ -187,7 +187,7 @@ def test_estimate_batch_standard_is_exactly_one():
 
 
 # nonzero entries keep every token row away from zero norm; hypothesis still
-# draws repeated rows and samples, where the canonical pair order matters
+# draws repeated rows and samples, where MK must be bitwise symmetric
 _entries = st.floats(0.01, 1.0) | st.floats(-1.0, -0.01)
 
 

@@ -24,7 +24,7 @@ def small_cfg(**kw):
 
 def encode(w, b, x, q, d):
     """Tokens and pooled unit vectors of the one batch encoder."""
-    f, _, _, _, pooled = T._encode_batch(w, b, np.asarray(x, dtype=float), q, d)
+    f, _, _, pooled = T._encode_batch(w, b, np.asarray(x, dtype=float), q, d)
     return f, pooled
 
 
