@@ -3,9 +3,9 @@
 Subpackages:
   features   token-matrix primitives (row normalization)
   mke        mutual-knowledge cleanliness estimation
-  dpl        noise masking and the masked training losses
+  dpl        noise masking, the masked training losses and their gradients
   synth      synthetic noisy-triplet benchmark generator
-  train      the batched toy encoder, analytic gradients, AdamW loop, checkpoints
+  train      the batched toy encoder, its backward pass, AdamW loop, checkpoints
   evaluation retrieval recall and noise-detection metrics
   cli        command-line entry points (gen/train/detect/eval/sweep)
 """

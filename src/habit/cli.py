@@ -237,11 +237,13 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> eva
 def cmd_eval(
     cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None
 ) -> evaluation.RetrievalReport:
+    ks = list(ks) if ks is not None else list(cfg["eval"]["ks"])
+    if not ks or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in ks):
+        raise ConfigError(f"eval.ks or --ks must list integers K >= 1, got {ks!r}")
     ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
     _, test_records = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
     if not test_records:
         raise ConfigError("empty test split; nothing to evaluate")
-    ks = list(ks) if ks is not None else list(cfg["eval"]["ks"])
     refs = np.stack([r.ref_vec for r in test_records])
     mods = np.stack([r.mod_vec for r in test_records])
     gal = np.stack([g.vec for g in gallery])

@@ -1,8 +1,11 @@
-"""Noise masking and the three masked training losses.
+"""Noise masking, the three masked training losses and their gradients.
 
 The chrono mask zeroes samples flagged as DBSCAN outliers in both the
 current and previous pass over the same batch; the losses (KL
-consistency, soft margin, robust contrastive) honor that mask.
+consistency, soft margin, robust contrastive) honor that mask. Each loss
+is one private term that runs its forward pass once and returns
+(value, gradient with respect to the similarity matrix); the public loss
+returns the term's value.
 """
 
 from __future__ import annotations
@@ -61,6 +64,21 @@ def _row_softmax(s, tau):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _kl_term(s_now, s_prev, m_now, m_prev, tau):
+    """KL consistency and its gradient w.r.t. s_now; s_prev is a constant."""
+    keep = (m_now > 0) & (m_prev > 0)
+    n_keep = int(keep.sum())
+    g = np.zeros_like(s_now)
+    if n_keep == 0:
+        return 0.0, g
+    p = _row_softmax(s_now[keep], tau)
+    q = _row_softmax(s_prev[keep], tau)
+    log_ratio = np.log(p) - np.log(q)
+    kl_rows = np.sum(p * log_ratio, axis=1)
+    g[keep] = p * (log_ratio - kl_rows[:, None]) / (tau * n_keep)
+    return float(np.mean(kl_rows)), g
+
+
 def kl_consistency(sim_now, sim_prev, mask_now, mask_prev, tau: float) -> float:
     """Mean KL(softmax(now_b/tau) || softmax(prev_b/tau)) over rows kept by both masks."""
     s_now = np.asarray(sim_now, dtype=np.float64)
@@ -71,12 +89,7 @@ def kl_consistency(sim_now, sim_prev, mask_now, mask_prev, tau: float) -> float:
         raise DimensionMismatch("similarity/mask shapes disagree")
     if m_now.shape != m_prev.shape:
         raise DimensionMismatch("mask lengths disagree")
-    keep = (m_now > 0) & (m_prev > 0)
-    if not np.any(keep):
-        return 0.0
-    p = _row_softmax(s_now[keep], tau)
-    q = _row_softmax(s_prev[keep], tau)
-    return float(np.mean(np.sum(p * (np.log(p) - np.log(q)), axis=1)))
+    return _kl_term(s_now, s_prev, m_now, m_prev, tau)[0]
 
 
 def dynamic_margin(e, m_base: float):
@@ -91,19 +104,24 @@ def dynamic_margin(e, m_base: float):
     return m_base * (10.0**e - 1.0) / 9.0
 
 
-def _hardest_negative_hinge(sim, estimates, mask, m_base):
-    """Per-row soft-margin hinge and the column of each row's hardest negative.
+def _soft_term(sim, estimates, mask, m_base):
+    """Soft margin loss and its subgradient w.r.t. sim.
 
-    hinge_i = max(0, dynamic_margin(e_i) + max_{j != i} s_ij - s_ii), and 0
-    where mask_i == 0. Ties for the hardest negative break to the lowest
-    column; with B = 1 there is no negative and the hinge is 0.
+    Row i's hinge is max(0, dynamic_margin(e_i) + max_{j != i} s_ij - s_ii),
+    and 0 where mask_i == 0. Ties for the hardest negative break to the
+    lowest column; with B = 1 there is no negative and the hinge is 0.
     """
     b = sim.shape[0]
     rows = np.arange(b)
     neg = np.where(np.eye(b, dtype=bool), -np.inf, sim)
     j = neg.argmax(axis=1)
     hinge = dynamic_margin(estimates, m_base) + neg[rows, j] - sim[rows, rows]
-    return np.where(mask == 0.0, 0.0, np.maximum(hinge, 0.0)), j
+    hinge = np.where(mask == 0.0, 0.0, np.maximum(hinge, 0.0))
+    active = np.flatnonzero(hinge > 0.0)
+    g = np.zeros_like(sim)
+    g[active, j[active]] = 1.0 / b
+    g[active, active] = -1.0 / b
+    return float(hinge.sum() / b), g
 
 
 def soft_margin_loss(sim, estimates, mask, m_base: float) -> float:
@@ -114,8 +132,18 @@ def soft_margin_loss(sim, estimates, mask, m_base: float) -> float:
     b = s.shape[0]
     if s.shape != (b, b) or e.shape[0] != b or m.shape[0] != b:
         raise DimensionMismatch("similarity/estimate/mask shapes disagree")
-    hinge, _ = _hardest_negative_hinge(s, e, m, m_base)
-    return float(hinge.sum() / b)
+    return _soft_term(s, e, m, m_base)[0]
+
+
+def _rank_term(sim, mask, tau):
+    """Robust contrastive loss and its gradient w.r.t. sim."""
+    b = sim.shape[0]
+    p = _row_softmax(sim, tau)
+    off = ~np.eye(b, dtype=bool)
+    per_row = -np.log1p(-p[off].reshape(b, b - 1)).sum(axis=1) / (b - 1)
+    ratio = np.where(off, p / (1.0 - p), 0.0)
+    g = (ratio - p * ratio.sum(axis=1)[:, None]) / (tau * (b - 1))
+    return float((mask * per_row).sum() / b), g * (mask[:, None] / b)
 
 
 def robust_contrastive_loss(sim, mask, tau: float) -> float:
@@ -127,10 +155,7 @@ def robust_contrastive_loss(sim, mask, tau: float) -> float:
         raise DegenerateBatch("robust contrastive loss needs B >= 2")
     if s.shape != (b, b) or m.shape[0] != b:
         raise DimensionMismatch("similarity/mask shapes disagree")
-    p = _row_softmax(s, tau)
-    off = ~np.eye(b, dtype=bool)
-    per_row = -np.log1p(-p[off].reshape(b, b - 1)).sum(axis=1) / (b - 1)
-    return float((m * per_row).sum() / b)
+    return _rank_term(s, m, tau)[0]
 
 
 def total_objective(rank, kl, soft, kappa, gamma) -> LossBreakdown:

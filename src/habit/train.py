@@ -3,8 +3,10 @@
 Only the similarity matrix carries gradient: masks, cleanliness
 estimates, dynamic margins, the standard-sample choice, and all cached
 previous-pass quantities are constants with respect to the parameters.
-That makes the backward pass a short closed-form chain
-(losses -> similarity -> pooled vectors -> token rows -> affine maps).
+That makes the backward pass a short closed-form chain: the `dpl` loss
+terms return their gradients with respect to the similarity matrix, and
+this module chains them through the encoders
+(similarity -> pooled vectors -> token rows -> affine maps).
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ class TrainConfig:
     ablations: frozenset = field(default_factory=frozenset)
 
     def validate(self):
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name, low in (("batch_size", 2), ("epochs", 0), ("q_tokens", 1), ("dim", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         for name in ("learning_rate", "tau", "tau_mk", "m_base", "dbscan_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -159,41 +160,9 @@ def _backprop_encoder(d_pooled, f, rn, vn, pooled, x, q_tokens, dim):
     return dz2.T @ x, dz2.sum(axis=0)
 
 
-def _grad_rank(sim, mask, tau):
-    """d(robust contrastive loss)/d(sim)."""
-    b = sim.shape[0]
-    p = dpl._row_softmax(sim, tau)
-    off = ~np.eye(b, dtype=bool)
-    ratio = np.where(off, p / (1.0 - p), 0.0)
-    row_sum = ratio.sum(axis=1)
-    g = (ratio - p * row_sum[:, None]) / (tau * (b - 1))
-    return g * (mask[:, None] / b)
-
-
-def _grad_kl(sim_now, sim_prev, mask_now, mask_prev, tau):
-    """d(kl_consistency)/d(sim_now); previous-pass similarities are constants."""
-    keep = (np.asarray(mask_now) > 0) & (np.asarray(mask_prev) > 0)
-    n_keep = int(keep.sum())
-    g = np.zeros_like(sim_now)
-    if n_keep == 0:
-        return g
-    p = dpl._row_softmax(sim_now[keep], tau)
-    q = dpl._row_softmax(sim_prev[keep], tau)
-    log_ratio = np.log(p) - np.log(q)
-    kl_rows = np.sum(p * log_ratio, axis=1)
-    g[keep] = p * (log_ratio - kl_rows[:, None]) / (tau * n_keep)
-    return g
-
-
-def _grad_soft(sim, estimates, mask, m_base):
-    """Subgradient of the soft margin loss; argmax ties break to lowest index."""
-    b = sim.shape[0]
-    hinge, j = dpl._hardest_negative_hinge(sim, estimates, mask, m_base)
-    rows = np.flatnonzero(hinge > 0.0)
-    g = np.zeros_like(sim)
-    g[rows, j[rows]] = 1.0 / b
-    g[rows, rows] = -1.0 / b
-    return g
+# Each loss term returns (value, d_sim) in one pass. habitbench/run.py traces
+# the terms by wrapping these three names, so loss_and_grad calls them here.
+_grad_rank, _grad_kl, _grad_soft = dpl._rank_term, dpl._kl_term, dpl._soft_term
 
 
 def loss_and_grad(
@@ -250,12 +219,10 @@ def loss_and_grad(
         mask = np.asarray(frozen_mask, dtype=np.float64)
     elif cfg.has("no_mask"):
         mask = np.ones(b)
-    elif cfg.has("no_cs") or cfg.has("no_history"):
-        mask = np.ones(b)
-        for i in outliers:
-            mask[i] = 0.0
     else:
-        mask = dpl.chrono_mask(outliers, memory.prev_outliers, b)
+        # without chrono-synergia an outlier now is masked now
+        no_cs = cfg.has("no_cs") or cfg.has("no_history")
+        mask = dpl.chrono_mask(outliers, outliers if no_cs else memory.prev_outliers, b)
 
     ones = np.ones(b)
     mask_rank = ones if cfg.has("no_mask") or cfg.has("no_mask_rank") else mask
@@ -264,29 +231,23 @@ def loss_and_grad(
 
     # --- losses on the similarity matrix ---
     g_sim = np.zeros_like(sim)
-    rank = 0.0
+    rank = kl = soft = 0.0
     if not cfg.has("no_rank"):
-        rank = dpl.robust_contrastive_loss(sim, mask_rank, cfg.tau)
-        g_sim += _grad_rank(sim, mask_rank, cfg.tau)
+        rank, g = _grad_rank(sim, mask_rank, cfg.tau)
+        g_sim += g
 
-    kl = 0.0
     use_kl = not (cfg.has("no_kl") or cfg.has("no_history"))
     if use_kl and memory.prev_similarity is not None:
         prev_mask_kl = (
             ones if cfg.has("no_mask") or cfg.has("no_mask_kl") else memory.prev_mask
         )
-        kl = dpl.kl_consistency(
-            sim, memory.prev_similarity, mask_kl, prev_mask_kl, cfg.tau
-        )
-        g_sim += cfg.kappa * _grad_kl(
-            sim, memory.prev_similarity, mask_kl, prev_mask_kl, cfg.tau
-        )
+        kl, g = _grad_kl(sim, memory.prev_similarity, mask_kl, prev_mask_kl, cfg.tau)
+        g_sim += cfg.kappa * g
 
-    soft = 0.0
     if not cfg.has("no_soft"):
         margins_from = ones if cfg.has("no_mke") else estimates
-        soft = dpl.soft_margin_loss(sim, margins_from, mask_soft, cfg.m_base)
-        g_sim += cfg.gamma * _grad_soft(sim, margins_from, mask_soft, cfg.m_base)
+        soft, g = _grad_soft(sim, margins_from, mask_soft, cfg.m_base)
+        g_sim += cfg.gamma * g
 
     breakdown = dpl.total_objective(rank, kl, soft, cfg.kappa, cfg.gamma)
 

@@ -55,6 +55,16 @@ def test_gen_invalid_sigma_exit_2(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("q_tokens", 0), ("q_tokens", -1), ("dim", 0)])
+def test_train_token_shape_below_1_exit_2(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, {"train": {key: value}})
+    data = str(tmp_path / "data")
+    assert cli.main(["gen", "--config", cfg_path, "--out", data]) == 0
+    code = cli.main(["train", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+
+
 def test_train_missing_data_exit_3(tmp_path):
     cfg_path = write_config(tmp_path)
     code = cli.main(
@@ -114,13 +124,17 @@ def test_eval_reports_recall(tmp_path):
     assert float([r for r in rows if r["k"] == "60"][0]["value"]) == 1.0
 
 
-def test_eval_bad_ks_exit_2(tmp_path):
-    cfg_path, data, run = full_pipeline(tmp_path)
-    code = cli.main(
-        ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data,
-         "--out", str(tmp_path / "e"), "--ks", "1,two"]
-    )
-    assert code == 2
+@pytest.mark.parametrize("config_ks, flag_ks", [
+    ([1, 5, 10], "1,two"), ([1, 5, 10], "0"), ([1, 5, 10], ","),
+    (["a"], None), ([1.5], None), ([True], None), ([], None),
+], ids=["flag-two", "flag-0", "flag-empty", "config-a", "config-1.5", "config-true", "config-empty"])
+def test_eval_bad_ks_exit_2(tmp_path, capsys, config_ks, flag_ks):
+    # eval.ks or --ks must list at least one K, each an int >= 1; a float or a bool is not one
+    cfg_path, data, run = full_pipeline(tmp_path, {"eval": {"ks": config_ks}})
+    argv = ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data,
+            "--out", str(tmp_path / "e")]
+    assert cli.main(argv + (["--ks", flag_ks] if flag_ks else [])) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size, code", [(0, 2), (60, 0), (61, 2)])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_acceptance import dbscan_oracle as acceptance_dbscan_oracle
+from test_acceptance import kl_oracle as acceptance_kl_oracle
+from test_acceptance import rank_oracle as acceptance_rank_oracle
 
 from habit import dpl
 from habit.errors import DegenerateBatch, DimensionMismatch, DomainError
@@ -240,6 +242,41 @@ def test_rank_masked_row_invariance():
     s2 = s.copy()
     s2[1] = rng.uniform(-1, 1, size=4)
     assert dpl.robust_contrastive_loss(s2, m, 0.1) == pytest.approx(base, abs=1e-15)
+
+
+def central_difference(loss, s, h=1e-6):
+    g = np.zeros_like(s)
+    for idx in np.ndindex(s.shape):
+        d = np.zeros_like(s)
+        d[idx] = h
+        g[idx] = (loss(s + d) - loss(s - d)) / (2 * h)
+    return g
+
+
+def test_rank_and_kl_terms_value_and_gradient():
+    # each term's value is criterion 1's loop oracle, and its gradient is the
+    # central difference of the public loss, relative to its largest entry
+    rng = np.random.default_rng(13)
+    for b in (2, 3, 5, 8):
+        for _ in range(5):
+            s, prev = rng.uniform(-1, 1, size=(2, b, b))
+            m_now, m_prev = rng.integers(0, 2, size=(2, b)).astype(float)
+            m_now[0] = 0.0  # a masked row
+            m_now[-1] = m_prev[-1] = 1.0  # a row kept by both masks
+
+            value, g = dpl._rank_term(s, m_now, 0.1)
+            assert abs(value - acceptance_rank_oracle(s, m_now, 0.1)) < 1e-12
+            fd = central_difference(lambda x: dpl.robust_contrastive_loss(x, m_now, 0.1), s)
+            assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+
+            value, g = dpl._kl_term(s, prev, m_now, m_prev, 0.1)
+            assert abs(value - acceptance_kl_oracle(s, prev, m_now, m_prev, 0.1)) < 1e-12
+            fd = central_difference(lambda x: dpl.kl_consistency(x, prev, m_now, m_prev, 0.1), s)
+            assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+
+            # no row kept by both masks: no loss and no gradient
+            value, g = dpl._kl_term(s, prev, m_now, 1.0 - m_now, 0.1)
+            assert value == 0.0 and g.shape == s.shape and not g.any()
 
 
 def test_total_objective():

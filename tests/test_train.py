@@ -204,17 +204,20 @@ def test_no_mke_forces_base_margin():
 
 
 def grad_soft_loop(sim, estimates, mask, m_base):
-    """Per-row reference subgradient: +-1/B at each active row's hardest negative."""
+    """Per-row reference: (hinge sum / B, subgradient of +-1/B at each active
+    row's hardest negative)."""
     b = sim.shape[0]
-    g = np.zeros_like(sim)
+    total, g = 0.0, np.zeros_like(sim)
     for i in range(b):
         if mask[i] == 0.0 or b == 1:
             continue
         j = min((c for c in range(b) if c != i), key=lambda c: (-sim[i, c], c))
-        if dpl.dynamic_margin(estimates[i], m_base) + sim[i, j] - sim[i, i] > 0.0:
+        hinge = dpl.dynamic_margin(estimates[i], m_base) + sim[i, j] - sim[i, i]
+        if hinge > 0.0:
+            total += hinge
             g[i, j] += 1.0 / b
             g[i, i] -= 1.0 / b
-    return g
+    return total / b, g
 
 
 def test_grad_soft_equals_loop_reference():
@@ -227,17 +230,23 @@ def test_grad_soft_equals_loop_reference():
                   [0.2, 0.1, 0.3, 0.95]])
     e = np.array([0.5, 1.0, 0.3, 0.9])
     m = np.array([1.0, 0.0, 1.0, 1.0])
-    g = T._grad_soft(s, e, m, 0.2)
-    assert (g == grad_soft_loop(s, e, m, 0.2)).all()
+    value, g = T._grad_soft(s, e, m, 0.2)
+    ref_value, ref_g = grad_soft_loop(s, e, m, 0.2)
+    assert (g == ref_g).all()
+    assert abs(value - ref_value) < 1e-12
     assert g[0, 1] == 0.25 and g[0, 3] == 0.0 and g[2, 0] == 0.25 and not g[1].any()
     # B = 1 has no negative
-    assert (T._grad_soft(np.array([[0.3]]), np.ones(1), np.ones(1), 0.2) == 0.0).all()
+    assert T._grad_soft(np.array([[0.3]]), np.ones(1), np.ones(1), 0.2)[0] == 0.0
+    assert (T._grad_soft(np.array([[0.3]]), np.ones(1), np.ones(1), 0.2)[1] == 0.0).all()
     for b in (2, 3, 8, 32):
         for _ in range(20):
             s = np.round(rng.uniform(-1, 1, size=(b, b)), 1)  # coarse grid: many ties
             e = rng.uniform(0, 1, size=b)
             m = rng.integers(0, 2, size=b).astype(float)
-            assert (T._grad_soft(s, e, m, 0.2) == grad_soft_loop(s, e, m, 0.2)).all()
+            value, g = T._grad_soft(s, e, m, 0.2)
+            ref_value, ref_g = grad_soft_loop(s, e, m, 0.2)
+            assert (g == ref_g).all()
+            assert abs(value - ref_value) < 1e-12
 
 
 def tiny_dataset(sigma=0.0, n=24, seed=5):
@@ -332,6 +341,10 @@ def test_train_config_validation():
         small_cfg(tau=0.0).validate()
     with pytest.raises(ConfigError):
         small_cfg(ablations=frozenset({"bogus"})).validate()
+    for key in ("q_tokens", "dim"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+                small_cfg(**{key: bad}).validate()
     with pytest.raises(ConfigError):
         T.train([], [], small_cfg())
 
