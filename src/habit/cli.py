@@ -190,8 +190,7 @@ def detect_masks(params, records, gallery, tcfg):
     """Inference-mode cleanliness + outlier mask over fixed batches."""
     refs = np.stack([r.ref_vec for r in records])
     mods = np.stack([r.mod_vec for r in records])
-    gal = np.stack([g.vec for g in gallery])
-    tgts = gal[[r.target_id for r in records]]
+    tgts = np.stack([gallery[r.target_id].vec for r in records])
     batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
     cleanliness = np.full(len(records), np.nan)
     mask = np.ones(len(records))
@@ -203,8 +202,7 @@ def detect_masks(params, records, gallery, tcfg):
         est = mke.estimate_batch(f_c, f_t, q @ t.T, tcfg.tau, tcfg.tau_mk)
         outliers = dpl.dbscan_1d(est, tcfg.dbscan_eps, tcfg.min_pts())
         cleanliness[idx] = est
-        for pos in outliers:
-            mask[idx[pos]] = 0.0
+        mask[idx[list(outliers)]] = 0.0
     covered = ~np.isnan(cleanliness)
     return cleanliness, mask, covered
 
@@ -213,6 +211,8 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> eva
     ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
     tcfg = train_config(cfg)
     train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
+    if not train_records:
+        raise ConfigError("empty train split; nothing to detect")
     cleanliness, mask, covered = detect_masks(ckpt.params, train_records, gallery, tcfg)
     kept = [i for i in range(len(train_records)) if covered[i]]
     report = evaluation.detection_metrics(

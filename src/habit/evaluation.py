@@ -37,15 +37,47 @@ def pooled_targets(params: EncoderParams, vecs):
 def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
     """Gallery ids ranked by descending cosine to each query; stable tie order.
 
-    numpy's default (SIMD) argsort may order ties any way, so the rows with a
-    tie or a NaN among their sorted scores are sorted again, stably.
+    Equal to `np.argsort(-scores, axis=1, kind="stable")`, computed with one
+    int64 value sort per row instead of an argsort. Each row's key is
+
+        bits 63..b: the negated score's float64 bits, with the 63 low bits
+                    flipped when the sign bit is set (after -0.0 becomes 0.0),
+                    so that signed integer order is score order; truncated
+        bits b-1..0: the gallery id, b = max(1, (G - 1).bit_length())
+
+    so the sorted keys carry the ranked ids in their low bits. Truncation
+    keeps the order of the scores but can make close ones equal. If a row's
+    truncated keys are all distinct, their order is the strict order of its
+    scores, which is the stable order. Every other row, and every row holding
+    a NaN, is argsorted again, stably.
     """
     q = pooled_queries(params, refs, mods)
-    neg = q @ -pooled_targets(params, gallery_vecs).T
-    ranked = np.argsort(neg, axis=1)
-    s = np.take_along_axis(neg, ranked, axis=1)
-    redo = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
-    ranked[redo] = np.argsort(neg[redo], axis=1, kind="stable")
+    return _rank_rows(q @ -pooled_targets(params, gallery_vecs).T)
+
+
+_BLOCK = 8  # rows keyed and sorted at a time
+
+
+def _rank_rows(neg):
+    """`np.argsort(neg, axis=1, kind="stable")` by `rank_gallery`'s packed keys."""
+    n, g = neg.shape
+    bits = max(1, (g - 1).bit_length())
+    ids = np.arange(g)
+    ranked = np.empty((n, g), dtype=np.intp)
+    for lo in range(0, n, _BLOCK):
+        x = neg[lo:lo + _BLOCK] + 0.0
+        has_nan = np.isnan(x).any(axis=1)
+        k = x.view(np.int64)
+        k ^= (k >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+        k >>= bits
+        k <<= bits
+        k |= ids
+        k.sort(axis=1)
+        np.bitwise_and(k, (1 << bits) - 1, out=ranked[lo:lo + _BLOCK])
+        k >>= bits
+        redo = (k[:, 1:] == k[:, :-1]).any(axis=1) | has_nan
+        for row in lo + np.flatnonzero(redo):
+            ranked[row] = np.argsort(neg[row], kind="stable")
     return ranked
 
 

@@ -179,6 +179,19 @@ def test_detect_corrupt_checkpoint_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "detect"])
+def test_empty_dataset_exit_2(tmp_path, capsys, command):
+    # a valid gallery and checkpoint, but no records: nothing to train, evaluate or detect
+    cfg_path, data, run = full_pipeline(tmp_path)
+    (tmp_path / "data" / "dataset.jsonl").write_text("")
+    argv = [command, "--config", cfg_path, "--data", data, "--out", str(tmp_path / "out")]
+    if command != "train":
+        argv += ["--ckpt", f"{run}/checkpoint.bin"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "empty" in err and "Traceback" not in err
+
+
 def test_sweep_sigma(tmp_path):
     cfg_path = write_config(tmp_path, {"train": {"epochs": 2}})
     out = str(tmp_path / "sweep")

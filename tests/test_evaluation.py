@@ -1,5 +1,7 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from habit import evaluation, synth, train as T
 from habit.errors import LengthMismatch, MissingTarget
@@ -185,3 +187,53 @@ def test_rank_gallery_equals_stable_argsort():
         grid = np.array([[1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, 3.0], [1.0, 0.0, 0.0]])
         refs3 = np.vstack([grid, rng.standard_normal((n, 3))])[rng.permutation(n + 4)]
         assert ranking_case(ident, refs3, gal) == 4
+
+
+def _float(bits):
+    return np.array([bits], dtype=np.int64).view(np.float64)[0]
+
+
+@st.composite
+def score_matrices(draw):
+    """Raw score rows drawn from a pool built to stress the packed keys.
+
+    The pool holds exact ties, both zeros, NaNs of either sign and with two
+    payloads, both infinities, and a value with neighbours 1 to 2**bits ulps
+    away: distinct scores that can share a truncated key.
+    """
+    k = draw(st.integers(0, 7))
+    g = draw(st.sampled_from(sorted({1, 2, 2**k, 2**k + 1})))
+    n = draw(st.integers(1, 3 * evaluation._BLOCK + 1))
+    bits = max(1, (g - 1).bit_length())
+    anchor = draw(st.floats(-2.0, 2.0, allow_subnormal=True))
+    anchor_bits = int(np.array([anchor]).view(np.int64)[0])
+    near = [_float(anchor_bits + d) for d in draw(st.lists(st.integers(0, 2**bits), min_size=1, max_size=6))]
+    pool = [0.0, -0.0, np.nan, -np.nan, _float(0x7FF8_0000_0001_0000), np.inf, -np.inf,
+            draw(st.floats(allow_nan=False)), *near]
+    # free floats between the pool's values leave some rows without any tie
+    neg = draw(hnp.arrays(np.float64, (n, g), elements=st.sampled_from(pool) | st.floats()))
+    if draw(st.booleans()):
+        neg[draw(st.integers(0, n - 1))] = np.nan
+    if draw(st.booleans()):
+        neg[draw(st.integers(0, n - 1)), draw(st.integers(0, g - 1))] = np.nan
+    return neg
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices())
+@example(np.array([[0.5, 0.0, -1.0, -0.0]]))  # -0.0 and 0.0 tie
+def test_rank_rows_equals_stable_argsort(neg):
+    got = evaluation._rank_rows(neg)
+    assert got.dtype == np.intp
+    assert (got == np.argsort(neg, axis=1, kind="stable")).all()
+
+
+def test_rank_rows_near_tie_row():
+    # 64 distinct scores within 64 ulps of 0.5, descending: every truncated key
+    # is the same, so the row is only right if it is sorted again, stably
+    g = 64
+    row = np.array([0x3FE0_0000_0000_0000 + g - 1 - j for j in range(g)], dtype=np.int64).view(np.float64)
+    assert np.unique(row).size == g
+    neg = np.vstack([np.linspace(0.0, 1.0, g), row, np.zeros(g)])
+    assert (evaluation._rank_rows(neg) == np.argsort(neg, axis=1, kind="stable")).all()
+    assert (evaluation._rank_rows(neg)[1] == np.arange(g)[::-1]).all()

@@ -8,6 +8,8 @@ AttributeError. This test loads the harness and installs every wrapper.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import habit
 import habit.cli  # noqa: F401  (cli and kernels are not in habit.__all__)
 import habit.kernels  # noqa: F401
@@ -26,8 +28,15 @@ def test_traced_names_resolve():
     run = load_run()
     tracer = run.Tracer()
     run.install_spans(tracer, habit)
+    params = habit.train.init_params(4, 2, 3, seed=0)
+    rng = np.random.default_rng(0)
+    refs, mods, gal = rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
     with tracer.active(0):
-        pass
+        # the harness's count callbacks read the results of the wrapped calls
+        ranked = habit.evaluation.rank_gallery(params, refs, mods, gal)
+    assert ranked.shape == (3, 5)
+    assert tracer.summary([0])["calls"]["evaluation.rank_gallery"] == 1
+    assert tracer.count("evaluation.scored_pairs", [0]) == 15
     # the wrappers are gone again after the traced block
     assert habit.train.loss_and_grad.__module__ == "habit.train"
 
