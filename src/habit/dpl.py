@@ -76,7 +76,7 @@ def _kl_term(s_now, s_prev, m_now, m_prev, tau):
     log_ratio = np.log(p) - np.log(q)
     kl_rows = np.sum(p * log_ratio, axis=1)
     g[keep] = p * (log_ratio - kl_rows[:, None]) / (tau * n_keep)
-    return float(np.mean(kl_rows)), g
+    return float(kl_rows.sum() / n_keep), g  # np.mean's sum and division
 
 
 def kl_consistency(sim_now, sim_prev, mask_now, mask_prev, tau: float) -> float:
@@ -99,7 +99,7 @@ def dynamic_margin(e, m_base: float):
     """
     e = np.asarray(e, dtype=np.float64)
     bad = ~((e >= 0.0) & (e <= 1.0))
-    if np.any(bad):
+    if bad.any():
         raise DomainError(f"estimate {e[bad].flat[0]} outside [0, 1]")
     return m_base * (10.0**e - 1.0) / 9.0
 

@@ -61,14 +61,24 @@ def _mutual_knowledge_loops(fc, ft, tau):
     return max(_sum_ascending(terms), 0.0)
 
 
+def _marginals(p):
+    # row and column sums of each (Qc, Qt) joint as left-to-right slice
+    # adds: the adds, and so the bits, of np.cumsum's last slice along
+    # that axis, whatever the memory layout
+    prow, pcol = p[..., 0], p[..., 0, :]
+    for j in range(1, p.shape[-1]):
+        prow = prow + p[..., j]
+    for i in range(1, p.shape[-2]):
+        pcol = pcol + p[..., i, :]
+    return prow, pcol
+
+
 def _mutual_knowledge_numpy(fc, ft, tau):
     logits = (fc @ np.swapaxes(ft, -1, -2)) / tau
-    p = np.exp(logits - logits.max(axis=(-2, -1), keepdims=True))
-    cells = p.shape[:-2] + (-1,)
+    cells = logits.shape[:-2] + (-1,)
+    p = np.exp(logits - logits.reshape(cells).max(axis=-1)[..., None, None])
     p /= np.sort(p.reshape(cells), axis=-1).sum(axis=-1)[..., None, None]
-    # cumsum adds left to right along its axis whatever the memory layout
-    prow = np.cumsum(p, axis=-1)[..., -1]
-    pcol = np.cumsum(p, axis=-2)[..., -1, :]
+    prow, pcol = _marginals(p)
     terms = p * np.log(p / (prow[..., :, None] * pcol[..., None, :]))
     return np.maximum(np.sort(terms.reshape(cells), axis=-1).sum(axis=-1), 0.0)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,27 +37,54 @@ ABLATION_FLAGS = frozenset(
 CHECKPOINT_MAGIC = b"HABITCK1"
 
 
+PARAM_NAMES = ("w_c", "b_c", "w_t", "b_t")
+
+
+def _pack(arrays):
+    """Copy arrays[k] for k in PARAM_NAMES, in that order, into one float64 vector.
+
+    Returns the vector and a name -> view dict; each view has its array's shape.
+    """
+    flat = np.concatenate([np.asarray(arrays[k], dtype=np.float64) for k in PARAM_NAMES], axis=None)
+    views, off = {}, 0
+    for key in PARAM_NAMES:
+        size = np.size(arrays[key])
+        views[key] = flat[off : off + size].reshape(np.shape(arrays[key]))
+        off += size
+    return flat, views
+
+
 @dataclass
 class EncoderParams:
+    """The two affine encoders, held as views into one flat vector.
+
+    `__post_init__` copies w_c, b_c, w_t, b_t, in that order, into `flat`
+    and rebinds each field to its view, so AdamW updates all four in one
+    pass over `flat`.
+    """
+
     w_c: np.ndarray  # (Q*D, 2*d_in)
     b_c: np.ndarray  # (Q*D,)
     w_t: np.ndarray  # (Q*D, d_in)
     b_t: np.ndarray  # (Q*D,)
     q_tokens: int
     dim: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, views = _pack(vars(self))
+        for key, view in views.items():
+            setattr(self, key, view)
 
     @property
     def d_in(self) -> int:
         return self.w_t.shape[1]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.w_c.copy(), self.b_c.copy(), self.w_t.copy(), self.b_t.copy(),
-            self.q_tokens, self.dim,
-        )
+        return EncoderParams(self.w_c, self.b_c, self.w_t, self.b_t, self.q_tokens, self.dim)
 
     def arrays(self):
-        return {"w_c": self.w_c, "b_c": self.b_c, "w_t": self.w_t, "b_t": self.b_t}
+        return {k: getattr(self, k) for k in PARAM_NAMES}
 
 
 @dataclass
@@ -138,12 +165,12 @@ def _encode_batch(w, b, x, q_tokens, dim):
     z = x @ w.T + b
     tok = z.reshape(x.shape[0], q_tokens, dim)
     rn = np.sqrt(np.einsum("bqd,bqd->bq", tok, tok))
-    if np.any(rn < ROW_NORM_EPS):
+    if (rn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate token row during batch encoding")
     f = tok / rn[:, :, None]
-    vmean = f.mean(axis=1)
+    vmean = f.sum(axis=1) / q_tokens  # f.mean(axis=1), without its overhead
     vn = np.sqrt(np.einsum("bd,bd->b", vmean, vmean))
-    if np.any(vn < ROW_NORM_EPS):
+    if (vn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate pooled vector during batch encoding")
     pooled = vmean / vn[:, None]
     return f, rn, vn, pooled
@@ -266,24 +293,49 @@ def loss_and_grad(
 
 @dataclass
 class AdamWState:
+    """AdamW moments, each one flat vector laid out like `EncoderParams.flat`.
+
+    `m` and `v` map each parameter name to its view into `m_flat` /
+    `v_flat`; `__post_init__` copies the given arrays into them.
+    """
+
     m: dict
     v: dict
     step: int = 0
+    m_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    v_flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.m_flat, self.m = _pack(self.m)
+        self.v_flat, self.v = _pack(self.v)
+
+    def copy(self) -> "AdamWState":
+        return AdamWState(self.m, self.v, self.step)
 
 
 def adamw_step(params, grads, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Decoupled-weight-decay adaptive-moment update, in place."""
+    """Decoupled-weight-decay adaptive-moment update, in place, in one pass.
+
+    Elementwise this is, in this order of operations,
+    m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
+    p -= lr*m_hat / (sqrt(v_hat) + eps);  p -= lr*weight_decay*p,
+    with m_hat = m / (1-beta1**t) and v_hat = v / (1-beta2**t).
+    """
     state.step += 1
     t = state.step
-    arrays = params.arrays()
-    for key, p in arrays.items():
-        g = grads[key]
-        state.m[key] = beta1 * state.m[key] + (1 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1 - beta2) * g * g
-        m_hat = state.m[key] / (1 - beta1**t)
-        v_hat = state.v[key] / (1 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        p -= lr * weight_decay * p
+    g = np.concatenate([grads[k] for k in PARAM_NAMES], axis=None)
+    m, v, p = state.m_flat, state.v_flat, params.flat
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    denom = np.sqrt(v / (1 - beta2**t))
+    denom += eps
+    update = m / (1 - beta1**t)
+    update *= lr
+    update /= denom
+    p -= update
+    p -= lr * weight_decay * p
 
 
 @dataclass
@@ -327,10 +379,11 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     batches = fixed_partition(len(records), cfg.batch_size, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     if resume is not None:
+        # copies, so that training leaves `resume` as it was
         params = resume.params.copy()
         rng.bit_generator.state = json.loads(resume.rng_state)
-        opt = resume.opt
-        memories = resume.memories
+        opt = resume.opt.copy()
+        memories = {bid: replace(mem) for bid, mem in resume.memories.items()}
         start_epoch = resume.epoch
     else:
         params = init_params(d_in, cfg.q_tokens, cfg.dim, cfg.seed)
@@ -436,6 +489,14 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a `save_checkpoint` file; a malformed one raises FormatError.
+
+    Beyond the byte layout, the structure must hold together: every array
+    is present, the integer fields are integers, each parameter's shape
+    agrees with q_tokens, dim and the input width, each AdamW moment has its
+    parameter's shape (the flat packing relies on that), and outliers are
+    stored only for batches below n_memories.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != CHECKPOINT_MAGIC:
@@ -461,39 +522,66 @@ def load_checkpoint(path) -> Checkpoint:
             arrays[key] = np.frombuffer(blob, dtype=np.float64).reshape(shape).copy()
         if off != len(data):
             raise FormatError(f"{path}: trailing bytes")
+        return _checkpoint_from(path, meta, arrays, rng_state)
     except FormatError:
         raise
-    except (json.JSONDecodeError, KeyError, ValueError, struct.error) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint: {exc}") from exc
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise FormatError(f"{path}: corrupt checkpoint: {exc!r}") from exc
 
-    params = EncoderParams(
-        w_c=arrays["w_c"], b_c=arrays["b_c"], w_t=arrays["w_t"], b_t=arrays["b_t"],
-        q_tokens=int(meta["q_tokens"]), dim=int(meta["dim"]),
-    )
+
+def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
+    def array(key):
+        if key not in arrays:
+            raise FormatError(f"{path}: missing array {key!r}")
+        return arrays[key]
+
+    def integer(key):
+        value = meta.get(key)
+        if type(value) is not int:
+            raise FormatError(f"{path}: {key} {value!r} is not an integer")
+        return value
+
+    q_tokens, dim = integer("q_tokens"), integer("dim")
+    w_t = array("w_t")
+    qd, d_in = q_tokens * dim, w_t.shape[-1] if w_t.ndim else 0
+    expected = {"w_c": (qd, 2 * d_in), "b_c": (qd,), "w_t": (qd, d_in), "b_t": (qd,)}
+    has_opt = meta.get("opt_step") is not None
+    for key, shape in expected.items():
+        # each AdamW moment shares its parameter's shape and place in the flat vectors
+        for name in (key, f"opt_m.{key}", f"opt_v.{key}") if has_opt else (key,):
+            if array(name).shape != shape:
+                raise FormatError(
+                    f"{path}: {name} has shape {arrays[name].shape}, not {shape} "
+                    f"(q_tokens {q_tokens}, dim {dim}, input width {d_in})"
+                )
+    params = EncoderParams(*(arrays[k] for k in PARAM_NAMES), q_tokens=q_tokens, dim=dim)
     opt = None
-    if meta.get("opt_step") is not None:
-        keys = ("w_c", "b_c", "w_t", "b_t")
+    if has_opt:
         opt = AdamWState(
-            m={k: arrays[f"opt_m.{k}"] for k in keys},
-            v={k: arrays[f"opt_v.{k}"] for k in keys},
-            step=int(meta["opt_step"]),
+            m={k: arrays[f"opt_m.{k}"] for k in PARAM_NAMES},
+            v={k: arrays[f"opt_v.{k}"] for k in PARAM_NAMES},
+            step=integer("opt_step"),
         )
     memories = None
     if meta.get("n_memories") is not None:
-        memories = {
-            bid: dpl.BatchMemory(batch_id=bid) for bid in range(meta["n_memories"])
-        }
-        for bid_str, out in (meta.get("outliers") or {}).items():
+        n_memories = integer("n_memories")
+        memories = {bid: dpl.BatchMemory(batch_id=bid) for bid in range(n_memories)}
+        outliers = meta.get("outliers") or {}
+        if not isinstance(outliers, dict):
+            raise FormatError(f"{path}: outliers {outliers!r} is not a batch id map")
+        for bid_str, out in outliers.items():
             bid = int(bid_str)
+            if bid not in memories:
+                raise FormatError(f"{path}: outliers for batch {bid_str} of {n_memories} batches")
             mem = memories[bid]
             mem.prev_outliers = frozenset(out)
-            mem.prev_similarity = arrays[f"mem.{bid}.sim"]
-            mem.prev_estimates = arrays[f"mem.{bid}.est"]
-            mem.prev_mask = arrays[f"mem.{bid}.mask"]
+            mem.prev_similarity = array(f"mem.{bid}.sim")
+            mem.prev_estimates = array(f"mem.{bid}.est")
+            mem.prev_mask = array(f"mem.{bid}.mask")
     return Checkpoint(
         params=params,
-        epoch=int(meta["epoch"]),
-        config_hash=int(meta["config_hash"]),
+        epoch=integer("epoch"),
+        config_hash=integer("config_hash"),
         rng_state=rng_state,
         opt=opt,
         memories=memories,

@@ -284,6 +284,7 @@ def bench():
     return get
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism_and_runtime(tmp_path):
     cfg = {
         "gen": {"sigma": 0.5, "seed": 0},
@@ -315,6 +316,7 @@ def test_criterion_8_detection_vs_oracle(bench):
                          f"{run['oracle_f1']:.3f} = {bar:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_ordering(bench):
     full5 = np.mean([bench(0.5, s)["r10"] for s in BENCH_SEEDS])
     abls = {
@@ -330,6 +332,7 @@ def test_criterion_9_ablation_ordering(bench):
     assert report(9, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_10_degradation_monotone(bench):
     table = np.array([[bench(sig, s)["r10"] for sig in BENCH_SIGMAS] for s in BENCH_SEEDS])
     means = table.mean(axis=0)

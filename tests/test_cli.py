@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import pytest
 
@@ -177,6 +178,60 @@ def test_detect_corrupt_checkpoint_exit_4(tmp_path):
         ["detect", "--config", cfg_path, "--ckpt", str(bad), "--data", data, "--out", str(tmp_path / "d")]
     )
     assert code == 4
+
+
+def _rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint file in place after `edit(meta, arrays)`; arrays are raw bytes."""
+    blob = path.read_bytes()
+    off = 8
+
+    def take():
+        nonlocal off
+        (n,) = struct.unpack("<Q", blob[off : off + 8])
+        off += 8 + n
+        return blob[off - n : off]
+
+    meta, rng_state = json.loads(take()), take()
+    arrays = {key: take() for key in sorted(meta["shapes"])}
+    edit(meta, arrays)
+    chunks = [json.dumps(meta).encode(), rng_state] + [arrays[k] for k in sorted(meta["shapes"])]
+    path.write_bytes(blob[:8] + b"".join(struct.pack("<Q", len(c)) + c for c in chunks))
+
+
+def _drop_w_c(meta, arrays):
+    del meta["shapes"]["w_c"], arrays["w_c"]
+
+
+def _text_opt_step(meta, arrays):
+    meta["opt_step"] = "many"
+
+
+def _outliers_past_n_memories(meta, arrays):
+    meta["outliers"][str(meta["n_memories"])] = [0]
+
+
+def _w_c_one_row_short(meta, arrays):
+    rows, cols = meta["shapes"]["w_c"]
+    meta["shapes"]["w_c"] = [rows - 1, cols]
+    arrays["w_c"] = arrays["w_c"][: (rows - 1) * cols * 8]
+
+
+@pytest.mark.parametrize("edit, says", [
+    (_drop_w_c, "missing array 'w_c'"),
+    (_text_opt_step, "opt_step 'many' is not an integer"),
+    (_outliers_past_n_memories, "outliers for batch"),
+    (_w_c_one_row_short, "w_c has shape"),
+], ids=["missing-array", "text-opt-step", "outliers-past-n-memories", "w_c-row-short"])
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_malformed_checkpoint_structure_exit_4(tmp_path, capsys, command, edit, says):
+    cfg_path, data, run = full_pipeline(tmp_path)
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    _rewrite_checkpoint(ckpt, edit)
+    code = cli.main([command, "--config", cfg_path, "--ckpt", str(ckpt), "--data", data,
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "format error" in err and says in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "detect"])

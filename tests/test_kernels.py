@@ -30,6 +30,19 @@ def test_mk_stack_equals_per_pair_calls(tau_mk):
     assert swapped_shapes > 0
 
 
+def test_marginals_equal_cumsum_last():
+    # the kernel's marginals are the adds of cumsum's last slice, bit for bit,
+    # also on a transposed stack, where qc != qt, and past numpy's 8-way
+    # unrolled sums
+    rng = np.random.default_rng(4)
+    for qc, qt in ((3, 5), (5, 3), (1, 6), (6, 1), (4, 4), (2, 17), (17, 2)):
+        p = np.exp(30.0 * rng.standard_normal((9, qc, qt)))
+        for stack in (p, np.swapaxes(np.exp(30.0 * rng.standard_normal((9, qt, qc))), -1, -2)):
+            prow, pcol = kernels._marginals(stack)
+            assert prow.tobytes() == np.cumsum(stack, axis=-1)[..., -1].tobytes()
+            assert pcol.tobytes() == np.cumsum(stack, axis=-2)[..., -1, :].tobytes()
+
+
 def test_mk_paths_agree():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -334,6 +334,87 @@ def test_resume_equals_uninterrupted(tmp_path):
     assert [m["loss_total"] for m in tail] == [m["loss_total"] for m in metrics_cont]
 
 
+def test_resume_twice_from_one_checkpoint(tmp_path):
+    # training from `resume` must not move the checkpoint it was handed
+    records, gallery = tiny_dataset(sigma=0.25)
+    full_cfg = small_cfg(epochs=4, batch_size=8, q_tokens=2, dim=6, seed=26)
+    ckpt_full, _ = T.train(records, gallery, full_cfg)
+    part, _ = T.train(records, gallery, small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=26))
+
+    def blob(ckpt, name):
+        T.save_checkpoint(ckpt, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    before = blob(part, "part.bin")
+    first, _ = T.train(records, gallery, full_cfg, resume=part)
+    second, _ = T.train(records, gallery, full_cfg, resume=part)
+    assert blob(first, "first.bin") == blob(second, "second.bin") == blob(ckpt_full, "full.bin")
+    assert blob(part, "part_after.bin") == before
+
+
+def adamw_loop(arrays, grads, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """AdamW one array at a time: the reference for adamw_step's one pass."""
+    for key, p in arrays.items():
+        g = grads[key]
+        m[key] = beta1 * m[key] + (1 - beta1) * g
+        v[key] = beta2 * v[key] + (1 - beta2) * g * g
+        m_hat = m[key] / (1 - beta1**t)
+        v_hat = v[key] / (1 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * weight_decay * p
+
+
+def test_adamw_step_equals_per_array_loop():
+    params = T.init_params(5, 3, 4, seed=7)
+    ref = {k: a.copy() for k, a in params.arrays().items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    state = T.AdamWState(m=m, v=v)
+    rng = np.random.default_rng(7)
+    for t in range(1, 21):
+        # gradients over several decades, so that rounding differs between orders
+        grads = {k: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3, size=a.shape)
+                 for k, a in ref.items()}
+        T.adamw_step(params, grads, state, lr=3e-3, weight_decay=0.05)
+        adamw_loop(ref, grads, m, v, t, lr=3e-3, weight_decay=0.05)
+        for key in T.PARAM_NAMES:
+            assert (params.arrays()[key] == ref[key]).all(), (t, key)
+            assert (state.m[key] == m[key]).all() and (state.v[key] == v[key]).all(), (t, key)
+    assert state.step == 20
+
+
+def assert_flat_views(params, opt=None):
+    for key, a in params.arrays().items():
+        assert np.shares_memory(params.flat, a), key
+    assert params.flat.tolist() == np.concatenate(list(params.arrays().values()), axis=None).tolist()
+    if opt is not None:
+        for key in T.PARAM_NAMES:
+            assert np.shares_memory(opt.m_flat, opt.m[key]), key
+            assert np.shares_memory(opt.v_flat, opt.v[key]), key
+
+
+def test_params_and_moments_are_views_of_flat(tmp_path):
+    params = T.init_params(6, 2, 3, seed=0)
+    assert_flat_views(params)
+    twin = params.copy()
+    assert_flat_views(twin)
+    assert not np.shares_memory(twin.flat, params.flat)
+
+    records, gallery = tiny_dataset()
+    ckpt, metrics = T.train(records, gallery, small_cfg(epochs=1, batch_size=8, q_tokens=2, dim=6, seed=3))
+    assert len(metrics) > 0
+    assert_flat_views(ckpt.params, ckpt.opt)
+    T.save_checkpoint(ckpt, tmp_path / "ck.bin")
+    back = T.load_checkpoint(tmp_path / "ck.bin")
+    assert_flat_views(back.params, back.opt)
+
+    # one more step moves the views together with the flat vectors
+    grads = {k: np.ones_like(a) for k, a in back.params.arrays().items()}
+    T.adamw_step(back.params, grads, back.opt, lr=1e-2, weight_decay=1e-4)
+    assert_flat_views(back.params, back.opt)
+    assert back.params.flat.tolist() != ckpt.params.flat.tolist()
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(batch_size=1).validate()
