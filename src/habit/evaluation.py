@@ -46,10 +46,10 @@ def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
         bits b-1..0: the gallery id, b = max(1, (G - 1).bit_length())
 
     so the sorted keys carry the ranked ids in their low bits. Truncation
-    keeps the order of the scores but can make close ones equal. If a row's
-    truncated keys are all distinct, their order is the strict order of its
-    scores, which is the stable order. Every other row, and every row holding
-    a NaN, is argsorted again, stably.
+    keeps score order but can make close scores equal. A row whose truncated
+    keys are all distinct is in strict score order, which is the stable one;
+    every other row, and every row with a NaN, is argsorted again, stably.
+    The ranking overwrites the scores: 8 bytes a scored pair, one matrix.
     """
     q = pooled_queries(params, refs, mods)
     return _rank_rows(q @ -pooled_targets(params, gallery_vecs).T)
@@ -59,26 +59,25 @@ _BLOCK = 8  # rows keyed and sorted at a time
 
 
 def _rank_rows(neg):
-    """`np.argsort(neg, axis=1, kind="stable")` by `rank_gallery`'s packed keys."""
+    """`np.argsort(neg, axis=1, kind="stable")` by `rank_gallery`'s packed keys,
+    written over the float64 `neg`, which it consumes, and returned as its intp view."""
     n, g = neg.shape
     bits = max(1, (g - 1).bit_length())
     ids = np.arange(g)
-    ranked = np.empty((n, g), dtype=np.intp)
     for lo in range(0, n, _BLOCK):
-        x = neg[lo:lo + _BLOCK] + 0.0
-        has_nan = np.isnan(x).any(axis=1)
-        k = x.view(np.int64)
+        x = neg[lo:lo + _BLOCK]
+        x += 0.0
+        orig, k = x.copy(), x.view(np.int64)
         k ^= (k >> 63) & 0x7FFF_FFFF_FFFF_FFFF
-        k >>= bits
-        k <<= bits
+        k &= -(1 << bits)
         k |= ids
         k.sort(axis=1)
-        np.bitwise_and(k, (1 << bits) - 1, out=ranked[lo:lo + _BLOCK])
-        k >>= bits
-        redo = (k[:, 1:] == k[:, :-1]).any(axis=1) | has_nan
-        for row in lo + np.flatnonzero(redo):
-            ranked[row] = np.argsort(neg[row], kind="stable")
-    return ranked
+        top = k >> bits
+        redo = (top[:, 1:] == top[:, :-1]).any(axis=1) | np.isnan(orig).any(axis=1)
+        k &= (1 << bits) - 1
+        for row in np.flatnonzero(redo):
+            k[row] = np.argsort(orig[row], kind="stable")
+    return neg.view(np.intp)
 
 
 def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
@@ -103,12 +102,12 @@ def build_subsets(true_target_ids, n_gallery, seed, size=6):
     rng = np.random.default_rng(seed)
     subsets = []
     for tid in true_target_ids:
-        distractors = []
+        distractors = {}  # insertion-ordered set of the accepted draws
         while len(distractors) < size - 1:
             c = int(rng.integers(n_gallery))
-            if c != tid and c not in distractors:
-                distractors.append(c)
-        subsets.append(np.array([int(tid)] + distractors))
+            if c != tid:
+                distractors[c] = None
+        subsets.append(np.array([int(tid), *distractors]))
     return subsets
 
 
@@ -145,13 +144,18 @@ def detection_metrics(mask, estimates, truth_labels) -> DetectionReport:
     recall = tp / (tp + fn) if (tp + fn) else 0.0
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
 
-    # exact pairwise AUC of the score (1 - e), ties count one half
+    # exact pairwise AUC of the score (1 - e), ties count one half. Each
+    # positive counts the sorted negatives below and equal to it; as for
+    # pos - neg, a pair with a NaN, or inf against inf, counts neither way
     scores = 1.0 - e
     pos = scores[truth]
-    neg = scores[~truth]
+    neg = np.sort(scores[~truth])
     if pos.size and neg.size:
-        diff = pos[:, None] - neg[None, :]
-        auc = float((np.sum(diff > 0) + 0.5 * np.sum(diff == 0)) / (pos.size * neg.size))
+        below = np.searchsorted(neg, pos, "left")
+        equal = np.searchsorted(neg, pos, "right") - below
+        below[np.isnan(pos)] = 0
+        equal[~np.isfinite(pos)] = 0
+        auc = float((np.sum(below) + 0.5 * np.sum(equal)) / (pos.size * neg.size))
     else:
         auc = 0.0
     return DetectionReport(precision=precision, recall=recall, f1=f1, auc=auc)

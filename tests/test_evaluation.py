@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -223,7 +225,7 @@ def score_matrices(draw):
 @given(score_matrices())
 @example(np.array([[0.5, 0.0, -1.0, -0.0]]))  # -0.0 and 0.0 tie
 def test_rank_rows_equals_stable_argsort(neg):
-    got = evaluation._rank_rows(neg)
+    got = evaluation._rank_rows(neg.copy())
     assert got.dtype == np.intp
     assert (got == np.argsort(neg, axis=1, kind="stable")).all()
 
@@ -235,5 +237,83 @@ def test_rank_rows_near_tie_row():
     row = np.array([0x3FE0_0000_0000_0000 + g - 1 - j for j in range(g)], dtype=np.int64).view(np.float64)
     assert np.unique(row).size == g
     neg = np.vstack([np.linspace(0.0, 1.0, g), row, np.zeros(g)])
-    assert (evaluation._rank_rows(neg) == np.argsort(neg, axis=1, kind="stable")).all()
-    assert (evaluation._rank_rows(neg)[1] == np.arange(g)[::-1]).all()
+    assert (evaluation._rank_rows(neg.copy()) == np.argsort(neg, axis=1, kind="stable")).all()
+    assert (evaluation._rank_rows(neg.copy())[1] == np.arange(g)[::-1]).all()
+
+
+def test_rank_rows_writes_over_its_argument():
+    buf = np.random.default_rng(0).standard_normal((20, 33))
+    assert np.shares_memory(evaluation._rank_rows(buf), buf)
+
+
+def test_rank_gallery_holds_one_matrix_and_keeps_inputs():
+    # the ranking reuses the score matrix: the traced peak stays near 8 bytes per pair
+    n, g = 400, 5000
+    rng = np.random.default_rng(1)
+    params = T.init_params(8, 4, 16, seed=1)
+    refs, mods, gal = rng.standard_normal((n, 8)), rng.standard_normal((n, 8)), rng.standard_normal((g, 8))
+    kept = [refs.copy(), mods.copy(), gal.copy()]
+    tracemalloc.start()
+    try:
+        ranked = evaluation.rank_gallery(params, refs, mods, gal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranked.shape == (n, g)
+    assert peak <= 1.25 * 8 * n * g
+    assert all((a == b).all() for a, b in zip((refs, mods, gal), kept))
+
+
+def build_subsets_by_list(true_target_ids, n_gallery, seed, size):
+    """`build_subsets` as a list scan, the reference for its draws and order."""
+    rng = np.random.default_rng(seed)
+    subsets = []
+    for tid in true_target_ids:
+        distractors = []
+        while len(distractors) < size - 1:
+            c = int(rng.integers(n_gallery))
+            if c != tid and c not in distractors:
+                distractors.append(c)
+        subsets.append(np.array([int(tid)] + distractors))
+    return subsets
+
+
+def test_build_subsets_equals_list_scan():
+    n = 9
+    true_ids = [0, 8, 3, 3, 5, 1, 7]
+    for size in (1, 2, 6, n - 1, n):
+        got = evaluation.build_subsets(true_ids, n, seed=11, size=size)
+        want = build_subsets_by_list(true_ids, n, seed=11, size=size)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and (a == b).all()
+
+
+def pairwise_auc(pos, neg):
+    """The O(P·N) pairwise AUC that `detection_metrics` reproduces bit for bit."""
+    diff = pos[:, None] - neg[None, :]
+    return float((np.sum(diff > 0) + 0.5 * np.sum(diff == 0)) / (pos.size * neg.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, np.nan, np.inf, -np.inf])
+            | st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(["clean", "mismatch", "partial"]),
+        ),
+        min_size=1, max_size=40,
+    ),
+    st.sampled_from(["mixed", "clean", "noisy"]),
+)
+def test_detection_auc_equals_pairwise(items, split):
+    est = np.array([e for e, _ in items])
+    truth = [t if split == "mixed" else "clean" if split == "clean" else "partial" for _, t in items]
+    with np.errstate(invalid="ignore", over="ignore"):
+        rep = evaluation.detection_metrics(np.ones(est.size), est, truth)
+        scores = 1.0 - est
+        noisy = np.array([t != "clean" for t in truth])
+        pos, neg = scores[noisy], scores[~noisy]
+        want = pairwise_auc(pos, neg) if pos.size and neg.size else 0.0
+    assert rep.auc == want
