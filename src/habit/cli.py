@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -20,41 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from . import dpl, evaluation, mke, synth, train as train_mod
-from .errors import ConfigError, FormatError, HabitError, ZeroRow
+from .errors import ConfigError, FormatError, HabitError
 
 log = logging.getLogger("habit")
 
-DEFAULT_CONFIG = {
-    "gen": {
-        "n_triplets": 2000,
-        "n_gallery": 2500,
-        "d_in": 16,
-        "n_attrs": 8,
-        "sigma": 0.0,
-        "partial_fraction": 0.5,
-        "unmentioned_noise_std": 0.1,
-        "seed": 0,
-    },
-    "train": {
-        "epochs": 100,
-        "batch_size": 32,
-        "learning_rate": 1e-3,
-        "weight_decay": 1e-4,
-        "tau": 0.1,
-        "tau_mk": 0.1,
-        "kappa": 10.0,
-        "gamma": 0.5,
-        "m_base": 0.2,
-        "dbscan_eps": 0.05,
-        "dbscan_min_pts": 0,
-        "q_tokens": 4,
-        "dim": 16,
-        "seed": 0,
-        "ablations": [],
-    },
-    "split": {"test_fraction": 0.2, "seed": 0},
-    "eval": {"ks": [1, 5, 10, 50], "subset_size": 6, "subset_seed": 0},
-}
+
+def _default_config() -> dict:
+    """A fresh dict of every default; `gen` and `train` come from their dataclasses."""
+    return {
+        "gen": dataclasses.asdict(synth.GenConfig()),
+        "train": train_mod.TrainConfig().to_dict(),
+        "split": {"test_fraction": 0.2, "seed": 0},
+        "eval": {"ks": [1, 5, 10, 50], "subset_size": 6, "subset_seed": 0},
+    }
 
 
 def _merge_section(defaults, given, path):
@@ -84,7 +63,7 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
                 raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(given, dict):
             raise FormatError(f"{path}: config root must be a JSON object")
-    cfg = _merge_section(DEFAULT_CONFIG, given, "")
+    cfg = _merge_section(_default_config(), given, "")
     if seed is not None:
         cfg["gen"]["seed"] = seed
         cfg["train"]["seed"] = seed
@@ -112,6 +91,14 @@ def write_resolved(cfg: dict, out_dir: Path):
     with open(out_dir / "resolved_config.json", "w", newline="\n") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """The one CSV dialect of every table: LF line ends, each float as repr(float(v))."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _load_data(data_dir: Path):
@@ -177,11 +164,7 @@ def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> None:
         "epoch", "iter", "loss_total", "loss_rank", "loss_kl", "loss_soft",
         "masked_count", "mean_cleanliness",
     ]
-    with open(out_dir / "metrics.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in metrics:
-            writer.writerow([repr(row[h]) if isinstance(row[h], float) else row[h] for h in header])
+    _write_csv(out_dir / "metrics.csv", header, ([row[h] for h in header] for row in metrics))
     write_resolved(cfg, out_dir)
     log.info("trained %d epochs, checkpoint at %s", tcfg.epochs, out_dir / "checkpoint.bin")
 
@@ -219,16 +202,10 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> eva
         mask[kept], cleanliness[kept], [train_records[i].noise_label for i in kept]
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "detection.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "cleanliness", "mask", "truth"])
-        for i in kept:
-            writer.writerow(
-                [train_records[i].id, repr(float(cleanliness[i])), int(mask[i]),
-                 train_records[i].noise_label]
-            )
-        for name in ("precision", "recall", "f1", "auc"):
-            writer.writerow([name, repr(getattr(report, name))])
+    rows = [[train_records[i].id, cleanliness[i], int(mask[i]), train_records[i].noise_label]
+            for i in kept]
+    rows += [[name, getattr(report, name)] for name in ("precision", "recall", "f1", "auc")]
+    _write_csv(out_dir / "detection.csv", ["id", "cleanliness", "mask", "truth"], rows)
     write_resolved(cfg, out_dir)
     log.info("detection F1=%.4f AUC=%.4f", report.f1, report.auc)
     return report
@@ -257,13 +234,9 @@ def cmd_eval(
     sub = evaluation.recall_subset(ckpt.params, refs, mods, gal, true_ids, subsets)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "k", "value"])
-        for k in sorted(report.recall_at):
-            writer.writerow(["recall", k, repr(report.recall_at[k])])
-        for k in sorted(sub):
-            writer.writerow(["recall_sub", k, repr(sub[k])])
+    rows = [["recall", k, report.recall_at[k]] for k in sorted(report.recall_at)]
+    rows += [["recall_sub", k, sub[k]] for k in sorted(sub)]
+    _write_csv(out_dir / "report.csv", ["metric", "k", "value"], rows)
     write_resolved(cfg, out_dir)
     log.info("R@K over %d queries: %s", report.n_queries, report.recall_at)
     return report
@@ -293,12 +266,9 @@ def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> None:
             log.warning("sweep value %s failed: %s", value, exc)
             rows.append([axis, value, f"failed: {exc}", "", ""])
             continue
-        r10 = repr(retrieval.recall_at[10]) if 10 in retrieval.recall_at else ""
-        rows.append([axis, value, "ok", r10, repr(detection.f1)])
-    with open(out_dir / "sweep_summary.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis", "value", "status", "r_at_10", "detection_f1"])
-        writer.writerows(rows)
+        rows.append([axis, value, "ok", retrieval.recall_at.get(10, ""), detection.f1])
+    header = ["axis", "value", "status", "r_at_10", "detection_f1"]
+    _write_csv(out_dir / "sweep_summary.csv", header, rows)
 
 
 def build_parser():
@@ -367,15 +337,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
-        if isinstance(exc, HabitError):  # pragma: no cover - HabitError is not OSError
-            raise
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 4
-    except (ZeroRow, FloatingPointError, HabitError) as exc:
+    except (FloatingPointError, HabitError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 5
 

@@ -20,9 +20,8 @@ from .kernels import dbscan_noise_flags
 
 @dataclass
 class BatchMemory:
-    """Previous-pass cache for one fixed batch (keyed by batch_id)."""
+    """Previous-pass cache for one fixed batch."""
 
-    batch_id: int
     prev_similarity: np.ndarray | None = None
     prev_estimates: np.ndarray | None = None
     prev_outliers: frozenset = None

@@ -106,7 +106,13 @@ class TrainConfig:
     ablations: frozenset = field(default_factory=frozenset)
 
     def validate(self):
-        for name, low in (("batch_size", 2), ("epochs", 0), ("q_tokens", 1), ("dim", 1)):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name, low in (
+            ("batch_size", 2), ("epochs", 0), ("q_tokens", 1), ("dim", 1),
+            ("kappa", 0), ("gamma", 0), ("weight_decay", 0), ("dbscan_min_pts", 0),
+        ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
         for name in ("learning_rate", "tau", "tau_mk", "m_base", "dbscan_eps"):
@@ -391,7 +397,7 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
             m={k: np.zeros_like(v) for k, v in params.arrays().items()},
             v={k: np.zeros_like(v) for k, v in params.arrays().items()},
         )
-        memories = {i: dpl.BatchMemory(batch_id=i) for i in range(len(batches))}
+        memories = {i: dpl.BatchMemory() for i in range(len(batches))}
         start_epoch = 0
 
     metrics = []
@@ -565,7 +571,7 @@ def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
     memories = None
     if meta.get("n_memories") is not None:
         n_memories = integer("n_memories")
-        memories = {bid: dpl.BatchMemory(batch_id=bid) for bid in range(n_memories)}
+        memories = {bid: dpl.BatchMemory() for bid in range(n_memories)}
         outliers = meta.get("outliers") or {}
         if not isinstance(outliers, dict):
             raise FormatError(f"{path}: outliers {outliers!r} is not a batch id map")

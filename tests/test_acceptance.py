@@ -191,7 +191,7 @@ def test_criterion_6_gradients(flags):
     refs, mods, tgts = (rng.standard_normal((4, 6)) for _ in range(3))
     params = T.init_params(6, 2, 4, seed=7)
     cfg = T.TrainConfig(batch_size=4, q_tokens=2, dim=4, ablations=frozenset(flags))
-    mem = dpl.BatchMemory(batch_id=0)
+    mem = dpl.BatchMemory()
     _, _, est, mask, sim, _ = T.loss_and_grad(params, refs, mods, tgts, mem, cfg, RNG(1))
     mem.prev_similarity = sim + 0.05 * RNG(2).standard_normal(sim.shape)
     mem.prev_estimates, mem.prev_outliers, mem.prev_mask = est, frozenset(), mask

@@ -56,14 +56,30 @@ def test_gen_invalid_sigma_exit_2(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("q_tokens", 0), ("q_tokens", -1), ("dim", 0)])
-def test_train_token_shape_below_1_exit_2(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, says", [
+    ("q_tokens", 0, "q_tokens must be >= 1"),
+    ("q_tokens", -1, "q_tokens must be >= 1"),
+    ("dim", 0, "dim must be >= 1"),
+    ("dbscan_eps", float("nan"), "dbscan_eps must be finite"),
+    ("kappa", float("nan"), "kappa must be finite"),
+    ("learning_rate", float("inf"), "learning_rate must be finite"),
+    ("weight_decay", -1.0, "weight_decay must be >= 0"),
+    ("kappa", -1.0, "kappa must be >= 0"),
+    ("gamma", -0.5, "gamma must be >= 0"),
+    ("dbscan_min_pts", -3, "dbscan_min_pts must be >= 0"),
+], ids=["q_tokens-0", "q_tokens--1", "dim-0", "dbscan_eps-nan", "kappa-nan", "learning_rate-inf",
+        "weight_decay--1.0", "kappa--1.0", "gamma--0.5", "dbscan_min_pts--3"])
+def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
+    # json writes and reads NaN and Infinity; a NaN or a negative weight would
+    # otherwise train on silently or stop as a numeric error
     cfg_path = write_config(tmp_path, {"train": {key: value}})
     data = str(tmp_path / "data")
     assert cli.main(["gen", "--config", cfg_path, "--out", data]) == 0
     code = cli.main(["train", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "run")])
     assert code == 2
-    assert f"{key} must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_missing_data_exit_3(tmp_path):
@@ -274,6 +290,22 @@ def test_seed_flag_overrides(tmp_path):
     assert cfg["gen"]["seed"] == 99
     assert cfg["train"]["seed"] == 99
     assert cfg["split"]["seed"] == 99
+
+
+def test_load_config_seed_does_not_leak_into_later_calls():
+    cli.load_config(None, 7)
+    cfg = cli.load_config(None)
+    seeds = [cfg["gen"]["seed"], cfg["train"]["seed"], cfg["split"]["seed"], cfg["eval"]["subset_seed"]]
+    assert seeds == [0, 0, 0, 0]
+
+
+def test_resolved_config_reproduces_gen(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["gen", "--seed", "5", "--out", str(first)]) == 0
+    resolved = str(first / "resolved_config.json")
+    assert cli.main(["gen", "--config", resolved, "--out", str(second)]) == 0
+    for name in ("resolved_config.json", "dataset.jsonl"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_config_wrong_type_exit_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from habit import dpl, features, synth, train as T
+from habit import dpl, features, mke, synth, train as T
 from habit.errors import ConfigError, DimensionMismatch, FormatError, ZeroRow
 
 
@@ -99,7 +99,7 @@ def finite_diff_check(flags, seed=0, with_history=True, h=1e-5):
     refs, mods, tgts = make_batch(seed)
     params = T.init_params(6, 2, 4, seed=seed + 10)
     cfg = small_cfg(ablations=frozenset(flags))
-    mem = dpl.BatchMemory(batch_id=0)
+    mem = dpl.BatchMemory()
     if with_history:
         _, _, est, mask, sim, out = T.loss_and_grad(
             params, refs, mods, tgts, mem, cfg, np.random.default_rng(1)
@@ -144,7 +144,7 @@ def test_empty_objective_zero_loss_and_grad():
     params = T.init_params(6, 2, 4, seed=11)
     cfg = small_cfg(ablations=frozenset({"no_rank", "no_kl", "no_soft"}))
     bd, grads, *_ = T.loss_and_grad(
-        params, refs, mods, tgts, dpl.BatchMemory(0), cfg, np.random.default_rng(0)
+        params, refs, mods, tgts, dpl.BatchMemory(), cfg, np.random.default_rng(0)
     )
     assert bd.total == 0.0
     for g in grads.values():
@@ -156,7 +156,7 @@ def test_reduces_to_plain_contrastive_baseline():
     params = T.init_params(6, 2, 4, seed=12)
     cfg = small_cfg(ablations=frozenset({"no_mke", "no_mask", "no_kl", "no_soft"}))
     bd, _, _, _, sim, _ = T.loss_and_grad(
-        params, refs, mods, tgts, dpl.BatchMemory(0), cfg, np.random.default_rng(0)
+        params, refs, mods, tgts, dpl.BatchMemory(), cfg, np.random.default_rng(0)
     )
     direct = dpl.robust_contrastive_loss(sim, np.ones(4), cfg.tau)
     assert bd.total == pytest.approx(direct, abs=1e-14)
@@ -168,7 +168,7 @@ def test_stop_gradient_history_contract():
     refs, mods, tgts = make_batch(3)
     params = T.init_params(6, 2, 4, seed=13)
     cfg = small_cfg()
-    mem = dpl.BatchMemory(0)
+    mem = dpl.BatchMemory()
     _, _, est, mask, sim, out = T.loss_and_grad(
         params, refs, mods, tgts, mem, cfg, np.random.default_rng(1)
     )
@@ -196,11 +196,102 @@ def test_no_mke_forces_base_margin():
     params = T.init_params(6, 2, 4, seed=14)
     cfg = small_cfg(ablations=frozenset({"no_mke", "no_kl", "no_rank"}))
     bd, _, est, mask, sim, _ = T.loss_and_grad(
-        params, refs, mods, tgts, dpl.BatchMemory(0), cfg, np.random.default_rng(0)
+        params, refs, mods, tgts, dpl.BatchMemory(), cfg, np.random.default_rng(0)
     )
     np.testing.assert_array_equal(est, np.ones(4))
     expected = dpl.soft_margin_loss(sim, np.ones(4), mask, cfg.m_base)
     assert bd.soft == pytest.approx(expected, abs=1e-15)
+
+
+def test_no_tr_uses_raw_mk_differences():
+    refs, mods, tgts = make_batch(0, b=8)
+    params = T.init_params(6, 2, 4, seed=30)
+    cfg = small_cfg(batch_size=8, ablations={"no_tr"})
+    _, _, est, _, sim, _ = T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), cfg)
+    f_c, *_ = T._encode_batch(params.w_c, params.b_c, np.concatenate([refs, mods], axis=1), 2, 4)
+    f_t, *_ = T._encode_batch(params.w_t, params.b_t, tgts, 2, 4)
+    raw = mke.estimate_batch(f_c, f_t, sim, cfg.tau, cfg.tau_mk, use_transition_rate=False)
+    assert (est == raw).all()
+    assert (est != mke.estimate_batch(f_c, f_t, sim, cfg.tau, cfg.tau_mk)).any()
+
+
+def test_no_sample_needs_rng_and_resumes_exactly(tmp_path):
+    refs, mods, tgts = make_batch(1)
+    params = T.init_params(6, 2, 4, seed=31)
+    with pytest.raises(ConfigError, match="no_sample"):
+        T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), small_cfg(ablations={"no_sample"}))
+
+    # the random standard sample draws from the run's rng, so the checkpoint's
+    # rng_state must carry the draws over a resume
+    records, gallery = tiny_dataset(sigma=0.25)
+    kw = dict(batch_size=8, q_tokens=2, dim=6, seed=26, ablations={"no_sample"})
+    full, metrics_full = T.train(records, gallery, small_cfg(epochs=4, **kw))
+    part, _ = T.train(records, gallery, small_cfg(epochs=3, **kw))
+    T.save_checkpoint(part, tmp_path / "part.bin")
+    cont, metrics_cont = T.train(
+        records, gallery, small_cfg(epochs=4, **kw), resume=T.load_checkpoint(tmp_path / "part.bin")
+    )
+    T.save_checkpoint(full, tmp_path / "full.bin")
+    T.save_checkpoint(cont, tmp_path / "cont.bin")
+    assert (tmp_path / "full.bin").read_bytes() == (tmp_path / "cont.bin").read_bytes()
+    assert metrics_full[-len(metrics_cont):] == metrics_cont
+    # without the ablation the same run never draws, so its rng_state stays put
+    plain, _ = T.train(records, gallery, small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=26))
+    assert part.rng_state != plain.rng_state
+
+
+def test_no_cs_masks_current_outliers_from_first_step():
+    refs, mods, tgts = make_batch(4, b=8)
+    params = T.init_params(6, 2, 4, seed=44)
+    cfg = small_cfg(batch_size=8, ablations={"no_cs"})
+    mem = dpl.BatchMemory()
+    _, _, est, mask, sim, outliers = T.loss_and_grad(params, refs, mods, tgts, mem, cfg)
+    assert outliers  # the case is only telling with outliers to mask
+    assert set(np.flatnonzero(mask == 0.0)) == outliers
+    # the previous pass's outliers play no part
+    mem.prev_similarity, mem.prev_estimates, mem.prev_mask = sim, est, mask
+    mem.prev_outliers = frozenset()
+    *_, mask2, _, outliers2 = T.loss_and_grad(params, refs, mods, tgts, mem, cfg)
+    assert set(np.flatnonzero(mask2 == 0.0)) == outliers2 == outliers
+    # the full method masks nothing on a batch's first pass
+    *_, mask_full, _, _ = T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), small_cfg(batch_size=8))
+    assert (mask_full == 1.0).all()
+
+
+def test_no_history_keeps_no_memory():
+    records, gallery = tiny_dataset(sigma=0.25)
+    cfg = small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=26, ablations={"no_history"})
+    ckpt, metrics = T.train(records, gallery, cfg)
+    assert len(metrics) == 3 * len(ckpt.memories)
+    for mem in ckpt.memories.values():
+        assert all(value is None for value in vars(mem).values())
+    assert all(m["loss_kl"] == 0.0 for m in metrics)
+
+
+@pytest.mark.parametrize("flag", ["no_mask_rank", "no_mask_soft", "no_mask_kl"])
+def test_no_mask_term_drops_the_mask_from_that_term_only(flag):
+    refs, mods, tgts = make_batch(5)
+    params = T.init_params(6, 2, 4, seed=15)
+    cfg = small_cfg(ablations={flag})
+    mask = np.array([0.0, 1.0, 0.0, 1.0])
+    mem = dpl.BatchMemory()
+    *_, sim, _ = T.loss_and_grad(params, refs, mods, tgts, mem, cfg)
+    mem.prev_similarity = sim + 0.1 * np.random.default_rng(6).standard_normal(sim.shape)
+    mem.prev_mask = mask
+    bd, _, est, _, sim, _ = T.loss_and_grad(params, refs, mods, tgts, mem, cfg, frozen_mask=mask)
+
+    def public(m):
+        return {
+            "no_mask_rank": dpl.robust_contrastive_loss(sim, m, cfg.tau),
+            "no_mask_soft": dpl.soft_margin_loss(sim, est, m, cfg.m_base),
+            "no_mask_kl": dpl.kl_consistency(sim, mem.prev_similarity, m, m, cfg.tau),
+        }
+
+    masked, unmasked = public(mask), public(np.ones(4))
+    got = {"no_mask_rank": bd.rank, "no_mask_soft": bd.soft, "no_mask_kl": bd.kl}
+    for term, value in got.items():
+        assert value == (unmasked if term == flag else masked)[term], term
+    assert masked[flag] != unmasked[flag]
 
 
 def grad_soft_loop(sim, estimates, mask, m_base):
