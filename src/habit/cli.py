@@ -86,11 +86,22 @@ def train_config(cfg: dict) -> train_mod.TrainConfig:
     return t
 
 
+def _resolved_json(cfg: dict) -> str:
+    """The strict JSON text of `cfg`; a NaN or infinity in any key is a config error."""
+    for name, section in cfg.items():
+        for key, value in section.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ConfigError(f"config key {name}.{key} must be finite, got {value!r}") from None
+    return json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_resolved(cfg: dict, out_dir: Path):
+    text = _resolved_json(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w", newline="\n") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -251,12 +262,16 @@ def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> None:
     if not values:
         raise ConfigError("sweep needs at least one value")
     section, key = SWEEP_AXES[axis]
+    names = [f"{axis}_{value:g}" for value in values]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ConfigError(f"run directories name a value by 6 significant digits; values share {shared}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
+    for value, name in zip(values, names):
         run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
-        run_dir = out_dir / f"{axis}_{value:g}"
+        run_dir = out_dir / name
         try:
             cmd_gen(run_cfg, run_dir / "data")
             cmd_train(run_cfg, run_dir / "data", run_dir)
@@ -313,6 +328,9 @@ def run(argv=None) -> int:
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     cfg = load_config(args.config, args.seed)
+    # every command checks the train section and that every key is finite, read or not
+    train_config(cfg)
+    _resolved_json(cfg)
     out = Path(args.out)
     if args.command == "gen":
         cmd_gen(cfg, out)

@@ -10,6 +10,7 @@ part of the delta (`partial`) or point at a wrong gallery entry
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -82,15 +83,19 @@ def _attribute_projection(rng, d_in, n_attrs):
 
 
 def _distinct_attribute_vectors(rng, n, n_attrs):
-    seen = set()
-    out = []
+    # a round draws only the missing vectors: the draws of one at a time, same end state
+    seen, out = set(), []
     while len(out) < n:
-        a = rng.integers(0, ATTR_LEVELS, size=n_attrs)
-        key = tuple(int(x) for x in a)
-        if key not in seen:
-            seen.add(key)
-            out.append(a.astype(np.float64))
-    return out
+        for key in map(tuple, rng.integers(0, ATTR_LEVELS, size=(n - len(out), n_attrs)).tolist()):
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return np.array(out, dtype=np.float64)
+
+
+def _embed(proj, rows):
+    # bitwise equal to `proj @ row` per row; `rows @ proj.T` rounds differently
+    return np.matmul(proj, rows[:, :, None])[:, :, 0]
 
 
 def generate(cfg: GenConfig):
@@ -102,38 +107,28 @@ def generate(cfg: GenConfig):
     proj = _attribute_projection(rng, cfg.d_in, cfg.n_attrs)
 
     target_attrs = _distinct_attribute_vectors(rng, cfg.n_gallery, cfg.n_attrs)
-    gallery = []
-    for gid, attrs in enumerate(target_attrs):
-        vec = proj @ (attrs - _ATTR_CENTER)
-        if cfg.unmentioned_noise_std > 0:
-            vec = vec + rng.normal(0.0, cfg.unmentioned_noise_std, size=cfg.d_in)
-        gallery.append(GalleryEntry(id=gid, vec=vec, attributes=attrs))
+    vecs = _embed(proj, target_attrs - _ATTR_CENTER)
+    if cfg.unmentioned_noise_std > 0:
+        vecs = vecs + rng.normal(0.0, cfg.unmentioned_noise_std, size=vecs.shape)
+    gallery = [GalleryEntry(id=g, vec=vecs[g], attributes=target_attrs[g]) for g in range(cfg.n_gallery)]
 
     # triplet i targets gallery entry i; remaining entries are distractors
-    records = []
-    for i in range(cfg.n_triplets):
-        tgt = gallery[i].attributes
+    deltas = np.zeros((cfg.n_triplets, cfg.n_attrs))
+    for delta in deltas:
         support_size = int(rng.integers(2, min(3, cfg.n_attrs) + 1))
         support = rng.choice(cfg.n_attrs, size=support_size, replace=False)
-        delta = np.zeros(cfg.n_attrs)
         for k in support:
             step = 0.0
             while step == 0.0:
                 step = float(rng.integers(-2, 3))
             delta[k] = step
-        a = tgt - delta
-        records.append(
-            TripletRecord(
-                id=i,
-                ref_vec=proj @ (a - _ATTR_CENTER),
-                mod_vec=proj @ delta,
-                target_id=i,
-                noise_label="clean",
-                attrs=a,
-                described_delta=delta.copy(),
-                original_target_id=i,
-            )
-        )
+    ref_attrs = target_attrs[: cfg.n_triplets] - deltas
+    ref_vecs, mod_vecs = _embed(proj, ref_attrs - _ATTR_CENTER), _embed(proj, deltas)
+    records = [
+        TripletRecord(id=i, ref_vec=ref_vecs[i], mod_vec=mod_vecs[i], target_id=i, noise_label="clean",
+                      attrs=ref_attrs[i], described_delta=deltas[i].copy(), original_target_id=i)
+        for i in range(cfg.n_triplets)
+    ]
 
     n_noisy = int(np.floor(cfg.sigma * cfg.n_triplets))
     noisy_ids = rng.choice(cfg.n_triplets, size=n_noisy, replace=False)
@@ -176,8 +171,13 @@ def split(records, fraction: float, seed: int):
     return train, test
 
 
+@functools.cache
+def _fmt_pattern(n):
+    return "[" + ", ".join(["%.17g"] * n) + "]"
+
+
 def _fmt(vec):
-    return "[" + ", ".join(f"{x:.17g}" for x in vec) + "]"
+    return _fmt_pattern(len(vec)) % tuple(vec.tolist())
 
 
 def write_dataset(records, path):

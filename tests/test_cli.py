@@ -72,14 +72,37 @@ def test_gen_invalid_sigma_exit_2(tmp_path, capsys):
 def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
     # json writes and reads NaN and Infinity; a NaN or a negative weight would
     # otherwise train on silently or stop as a numeric error
-    cfg_path = write_config(tmp_path, {"train": {key: value}})
     data = str(tmp_path / "data")
-    assert cli.main(["gen", "--config", cfg_path, "--out", data]) == 0
+    assert cli.main(["gen", "--config", write_config(tmp_path), "--out", data]) == 0
+    cfg_path = write_config(tmp_path, {"train": {key: value}})
     code = cli.main(["train", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err
     assert says in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, key, value, says", [
+    ("train", "dbscan_eps", float("nan"), "dbscan_eps must be finite"),
+    ("train", "q_tokens", 0, "q_tokens must be >= 1"),
+    ("split", "test_fraction", float("nan"), "split.test_fraction must be finite"),
+    ("gen", "unmentioned_noise_std", float("inf"), "gen.unmentioned_noise_std must be finite"),
+], ids=["train.dbscan_eps-nan", "train.q_tokens-0", "split.test_fraction-nan",
+        "gen.unmentioned_noise_std-inf"])
+@pytest.mark.parametrize("command", ["gen", "eval"])
+def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section, key, value, says):
+    # gen and eval read no train section and gen no split section, yet each
+    # refuses the whole config before it writes a resolved_config.json
+    _, data, run = full_pipeline(tmp_path)
+    cfg_path = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_path, "--out", str(out)]
+    if command == "eval":
+        argv += ["--data", data, "--ckpt", f"{run}/checkpoint.bin"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_train_missing_data_exit_3(tmp_path):
@@ -275,6 +298,19 @@ def test_sweep_sigma(tmp_path):
     assert [r["value"] for r in rows] == ["0.0", "0.5"]
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["r_at_10"] != "" and r["detection_f1"] != "" for r in rows)
+
+
+@pytest.mark.parametrize("values", ["0.1234561,0.1234562", "0.5,0.5"])
+def test_sweep_shared_run_directory_exit_2(tmp_path, capsys, values):
+    # both values would be named sigma_0.123456 (or sigma_0.5), and the
+    # second run would overwrite the first
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", cfg_path, "--out", str(out), "--axis", "sigma", "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sigma_0." in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_unknown_axis_exit_2(tmp_path):
