@@ -140,10 +140,7 @@ def _load_data(data_dir: Path):
 def _load_run(cfg: dict, ckpt_path: Path, data_dir: Path):
     """Checkpoint and data for eval and detect; the checkpoint must fit the config and the data."""
     ckpt = train_mod.load_checkpoint(ckpt_path)
-    for key in ("q_tokens", "dim"):
-        got, want = getattr(ckpt.params, key), cfg["train"][key]
-        if got != want:
-            raise FormatError(f"{ckpt_path}: checkpoint {key} {got} != config train.{key} {want}")
+    train_mod.check_config(ckpt, train_config(cfg))
     records, gallery = _load_data(data_dir)
     width = gallery[0].vec.shape[0] if gallery else ckpt.params.d_in
     if width != ckpt.params.d_in:
@@ -171,11 +168,7 @@ def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> None:
     ckpt, metrics = train_mod.train(train_records, gallery, tcfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_mod.save_checkpoint(ckpt, out_dir / "checkpoint.bin")
-    header = [
-        "epoch", "iter", "loss_total", "loss_rank", "loss_kl", "loss_soft",
-        "masked_count", "mean_cleanliness",
-    ]
-    _write_csv(out_dir / "metrics.csv", header, ([row[h] for h in header] for row in metrics))
+    _write_csv(out_dir / "metrics.csv", train_mod.METRICS_COLUMNS, (row.values() for row in metrics))
     write_resolved(cfg, out_dir)
     log.info("trained %d epochs, checkpoint at %s", tcfg.epochs, out_dir / "checkpoint.bin")
 

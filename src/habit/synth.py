@@ -39,6 +39,9 @@ class GenConfig:
     seed: int = 0
 
     def validate(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.n_triplets < 1:
             raise ConfigError("n_triplets must be >= 1")
         if self.n_gallery < self.n_triplets:
@@ -65,7 +68,6 @@ class TripletRecord:
     # latent diagnostics, not part of the wire format
     attrs: np.ndarray | None = field(default=None, repr=False)
     described_delta: np.ndarray | None = field(default=None, repr=False)
-    original_target_id: int | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -126,7 +128,7 @@ def generate(cfg: GenConfig):
     ref_vecs, mod_vecs = _embed(proj, ref_attrs - _ATTR_CENTER), _embed(proj, deltas)
     records = [
         TripletRecord(id=i, ref_vec=ref_vecs[i], mod_vec=mod_vecs[i], target_id=i, noise_label="clean",
-                      attrs=ref_attrs[i], described_delta=deltas[i].copy(), original_target_id=i)
+                      attrs=ref_attrs[i], described_delta=deltas[i].copy())
         for i in range(cfg.n_triplets)
     ]
 

@@ -36,6 +36,12 @@ ABLATION_FLAGS = frozenset(
 
 CHECKPOINT_MAGIC = b"HABITCK1"
 
+# The columns of metrics.csv: one row per training step.
+METRICS_COLUMNS = (
+    "epoch", "iter", "loss_total", "loss_rank", "loss_kl", "loss_soft",
+    "masked_count", "mean_cleanliness",
+)
+
 
 PARAM_NAMES = ("w_c", "b_c", "w_t", "b_t")
 
@@ -352,8 +358,18 @@ class Checkpoint:
     epoch: int
     config_hash: int
     rng_state: bytes
-    opt: AdamWState | None = None
-    memories: dict | None = None
+    opt: AdamWState
+    memories: dict
+
+
+def check_config(ckpt: Checkpoint, cfg: TrainConfig):
+    """Raise FormatError unless `ckpt` was trained with `cfg`, epochs aside."""
+    for key in ("q_tokens", "dim"):
+        got, want = getattr(ckpt.params, key), getattr(cfg, key)
+        if got != want:
+            raise FormatError(f"checkpoint {key} {got} != config train.{key} {want}")
+    if config_hash(replace(cfg, epochs=ckpt.epoch)) != ckpt.config_hash:
+        raise FormatError("checkpoint was trained with another train config (epochs aside)")
 
 
 def fixed_partition(n: int, batch_size: int, seed: int):
@@ -367,11 +383,10 @@ def fixed_partition(n: int, batch_size: int, seed: int):
 def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     """Full training loop; returns (Checkpoint, metrics rows).
 
-    Metrics rows are dicts matching the CSV header
-    epoch,iter,loss_total,loss_rank,loss_kl,loss_soft,masked_count,mean_cleanliness.
-    With `resume`, training continues from the checkpointed epoch and
-    reproduces the uninterrupted run bit-for-bit. A step whose total loss
-    is not finite raises FloatingPointError before the parameters move.
+    Metrics rows are dicts keyed by METRICS_COLUMNS, in order. A `resume`
+    that passes `check_config` continues from its epoch and reproduces the
+    uninterrupted run bit-for-bit. A step whose total loss is not finite
+    raises FloatingPointError before the parameters move.
     """
     cfg.validate()
     if not records:
@@ -385,6 +400,7 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     batches = fixed_partition(len(records), cfg.batch_size, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     if resume is not None:
+        check_config(resume, cfg)
         # copies, so that training leaves `resume` as it was
         params = resume.params.copy()
         rng.bit_generator.state = json.loads(resume.rng_state)
@@ -419,18 +435,9 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
                 mem.prev_outliers = outliers
                 mem.prev_mask = mask
             it += 1
-            metrics.append(
-                {
-                    "epoch": epoch,
-                    "iter": it,
-                    "loss_total": breakdown.total,
-                    "loss_rank": breakdown.rank,
-                    "loss_kl": breakdown.kl,
-                    "loss_soft": breakdown.soft,
-                    "masked_count": int(np.sum(mask == 0.0)),
-                    "mean_cleanliness": float(np.mean(estimates)),
-                }
-            )
+            row = (epoch, it, breakdown.total, breakdown.rank, breakdown.kl, breakdown.soft,
+                   int(np.sum(mask == 0.0)), float(np.mean(estimates)))
+            metrics.append(dict(zip(METRICS_COLUMNS, row)))
     state_blob = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
     ckpt = Checkpoint(
         params=params,
@@ -443,42 +450,25 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     return ckpt, metrics
 
 
-def _checkpoint_arrays(ckpt: Checkpoint):
-    """Flat name -> array map in a deterministic order."""
-    arrays = dict(ckpt.params.arrays())
-    if ckpt.opt is not None:
-        for key, v in ckpt.opt.m.items():
-            arrays[f"opt_m.{key}"] = v
-        for key, v in ckpt.opt.v.items():
-            arrays[f"opt_v.{key}"] = v
-    if ckpt.memories is not None:
-        for bid in sorted(ckpt.memories):
-            mem = ckpt.memories[bid]
-            if mem.prev_similarity is None:
-                continue
-            arrays[f"mem.{bid}.sim"] = mem.prev_similarity
-            arrays[f"mem.{bid}.est"] = mem.prev_estimates
-            arrays[f"mem.{bid}.mask"] = mem.prev_mask
-    return arrays
-
-
 def save_checkpoint(ckpt: Checkpoint, path):
     """Deterministic binary checkpoint (no timestamps, bit-exact arrays)."""
-    arrays = _checkpoint_arrays(ckpt)
+    arrays = dict(ckpt.params.arrays())
+    for key in PARAM_NAMES:
+        arrays[f"opt_m.{key}"] = ckpt.opt.m[key]
+        arrays[f"opt_v.{key}"] = ckpt.opt.v[key]
+    filled = {bid: mem for bid, mem in ckpt.memories.items() if mem.prev_similarity is not None}
+    for bid, mem in filled.items():
+        arrays[f"mem.{bid}.sim"] = mem.prev_similarity
+        arrays[f"mem.{bid}.est"] = mem.prev_estimates
+        arrays[f"mem.{bid}.mask"] = mem.prev_mask
     meta = {
         "epoch": ckpt.epoch,
         "config_hash": ckpt.config_hash,
         "q_tokens": ckpt.params.q_tokens,
         "dim": ckpt.params.dim,
-        "opt_step": None if ckpt.opt is None else ckpt.opt.step,
-        "outliers": None
-        if ckpt.memories is None
-        else {
-            str(bid): sorted(mem.prev_outliers)
-            for bid, mem in ckpt.memories.items()
-            if mem.prev_outliers is not None
-        },
-        "n_memories": None if ckpt.memories is None else len(ckpt.memories),
+        "opt_step": ckpt.opt.step,
+        "outliers": {str(bid): sorted(mem.prev_outliers) for bid, mem in filled.items()},
+        "n_memories": len(ckpt.memories),
         "shapes": {k: list(v.shape) for k, v in arrays.items()},
     }
     meta_blob = json.dumps(meta, sort_keys=True).encode()
@@ -551,39 +541,34 @@ def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
     w_t = array("w_t")
     qd, d_in = q_tokens * dim, w_t.shape[-1] if w_t.ndim else 0
     expected = {"w_c": (qd, 2 * d_in), "b_c": (qd,), "w_t": (qd, d_in), "b_t": (qd,)}
-    has_opt = meta.get("opt_step") is not None
     for key, shape in expected.items():
         # each AdamW moment shares its parameter's shape and place in the flat vectors
-        for name in (key, f"opt_m.{key}", f"opt_v.{key}") if has_opt else (key,):
+        for name in (key, f"opt_m.{key}", f"opt_v.{key}"):
             if array(name).shape != shape:
                 raise FormatError(
                     f"{path}: {name} has shape {arrays[name].shape}, not {shape} "
                     f"(q_tokens {q_tokens}, dim {dim}, input width {d_in})"
                 )
     params = EncoderParams(*(arrays[k] for k in PARAM_NAMES), q_tokens=q_tokens, dim=dim)
-    opt = None
-    if has_opt:
-        opt = AdamWState(
-            m={k: arrays[f"opt_m.{k}"] for k in PARAM_NAMES},
-            v={k: arrays[f"opt_v.{k}"] for k in PARAM_NAMES},
-            step=integer("opt_step"),
-        )
-    memories = None
-    if meta.get("n_memories") is not None:
-        n_memories = integer("n_memories")
-        memories = {bid: dpl.BatchMemory() for bid in range(n_memories)}
-        outliers = meta.get("outliers") or {}
-        if not isinstance(outliers, dict):
-            raise FormatError(f"{path}: outliers {outliers!r} is not a batch id map")
-        for bid_str, out in outliers.items():
-            bid = int(bid_str)
-            if bid not in memories:
-                raise FormatError(f"{path}: outliers for batch {bid_str} of {n_memories} batches")
-            mem = memories[bid]
-            mem.prev_outliers = frozenset(out)
-            mem.prev_similarity = array(f"mem.{bid}.sim")
-            mem.prev_estimates = array(f"mem.{bid}.est")
-            mem.prev_mask = array(f"mem.{bid}.mask")
+    opt = AdamWState(
+        m={k: arrays[f"opt_m.{k}"] for k in PARAM_NAMES},
+        v={k: arrays[f"opt_v.{k}"] for k in PARAM_NAMES},
+        step=integer("opt_step"),
+    )
+    n_memories = integer("n_memories")
+    memories = {bid: dpl.BatchMemory() for bid in range(n_memories)}
+    outliers = meta.get("outliers")
+    if not isinstance(outliers, dict):
+        raise FormatError(f"{path}: outliers {outliers!r} is not a batch id map")
+    for bid_str, out in outliers.items():
+        bid = int(bid_str)
+        if bid not in memories:
+            raise FormatError(f"{path}: outliers for batch {bid_str} of {n_memories} batches")
+        mem = memories[bid]
+        mem.prev_outliers = frozenset(out)
+        mem.prev_similarity = array(f"mem.{bid}.sim")
+        mem.prev_estimates = array(f"mem.{bid}.est")
+        mem.prev_mask = array(f"mem.{bid}.mask")
     return Checkpoint(
         params=params,
         epoch=integer("epoch"),

@@ -44,7 +44,7 @@ def test_mismatch_target_differs():
     noisy = [r for r in records if r.noise_label == "mismatch"]
     assert noisy
     for r in noisy:
-        assert r.target_id != r.original_target_id
+        assert r.target_id != r.id  # generation points record i at gallery entry i
 
 
 def test_partial_delta_nonempty_strict_subset():
@@ -77,6 +77,14 @@ def test_generate_precondition_errors():
         synth.generate(small_cfg(sigma=1.5))
     with pytest.raises(ConfigError):
         synth.generate(small_cfg(d_in=3))  # < n_attrs
+
+
+@pytest.mark.parametrize("key", ["sigma", "partial_fraction", "unmentioned_noise_std"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_generate_non_finite_float_errors(key, value):
+    # nan passes `nan < 0`, and an infinite noise std would write ±inf vectors
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        synth.generate(small_cfg(**{key: value}))
 
 
 def test_split_half_over_clean():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -367,6 +370,23 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert (tmp_path / "ck_a.bin").read_bytes() == (tmp_path / "ck_b.bin").read_bytes()
 
 
+@pytest.mark.parametrize("ablations, ckpt_sha, rows_sha", [
+    ((), "4f7548eb1d9e24462de16573e2d97274da6afa790389f0cd3845bbbd553a6e21",
+     "8fffca568ce97b844b5c17c2d66c3d6b388fba6f3ec6f4ef9deb7c822c0282d9"),
+    (("no_history", "no_mke"), "470f11c69180491471c2457bdb3659d266ebe5d8fead59b9997a9147766de129",
+     "1fb6d69d77296ecdd3e9dd7ad0681560b66becc23b981755dd8cb1df5d24abda"),
+], ids=["full", "empty-memories"])
+def test_train_bytes_pinned(tmp_path, ablations, ckpt_sha, rows_sha):
+    # SHA-256 of a known-good run: a change to the checkpoint or metrics bytes fails here
+    records, gallery = tiny_dataset(sigma=0.25)
+    cfg = small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=22, ablations=ablations)
+    ckpt, metrics = T.train(records, gallery, cfg)
+    T.save_checkpoint(ckpt, tmp_path / "ck.bin")
+    assert hashlib.sha256((tmp_path / "ck.bin").read_bytes()).hexdigest() == ckpt_sha
+    assert [tuple(row) for row in metrics] == [T.METRICS_COLUMNS] * len(metrics)
+    assert hashlib.sha256(json.dumps(metrics).encode()).hexdigest() == rows_sha
+
+
 def test_train_loss_decreases_on_clean_data():
     # frozen seed, measured before the assertion was locked in
     records, gallery = tiny_dataset(sigma=0.0, n=64, seed=5)
@@ -423,6 +443,14 @@ def test_resume_equals_uninterrupted(tmp_path):
         np.testing.assert_array_equal(arr, ckpt_cont.params.arrays()[key])
     tail = metrics_full[-len(metrics_cont):]
     assert [m["loss_total"] for m in tail] == [m["loss_total"] for m in metrics_cont]
+
+
+def test_resume_with_another_config_raises():
+    records, gallery = tiny_dataset(sigma=0.25)
+    part, _ = T.train(records, gallery, small_cfg(epochs=1, batch_size=8, q_tokens=2, dim=6, seed=26))
+    other = small_cfg(epochs=2, batch_size=8, q_tokens=2, dim=6, seed=26, learning_rate=2e-3)
+    with pytest.raises(FormatError, match="another train config"):
+        T.train(records, gallery, other, resume=part)
 
 
 def test_resume_twice_from_one_checkpoint(tmp_path):
