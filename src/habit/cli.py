@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dpl, evaluation, mke, synth, train as train_mod
+from . import evaluation, mke, synth, train as train_mod
 from .errors import ConfigError, FormatError, HabitError
+from .kernels import dbscan_noise_flags
 
 log = logging.getLogger("habit")
 
@@ -174,22 +175,32 @@ def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> None:
 
 
 def detect_masks(params, records, gallery, tcfg):
-    """Inference-mode cleanliness + outlier mask over fixed batches."""
-    refs = np.stack([r.ref_vec for r in records])
-    mods = np.stack([r.mod_vec for r in records])
-    tgts = np.stack([gallery[r.target_id].vec for r in records])
+    """Inference-mode cleanliness + outlier mask, one stacked pass per batch size.
+
+    `no_tr` and `no_mke` hold as in training. `no_sample` keeps
+    `select_standard`: training drew its standard from its per-step rng.
+    """
+    refs = np.array([r.ref_vec for r in records])
+    mods = np.array([r.mod_vec for r in records])
+    tgts = np.array([gallery[r.target_id].vec for r in records])
     batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
     cleanliness = np.full(len(records), np.nan)
     mask = np.ones(len(records))
     shape = (params.q_tokens, params.dim)
-    for idx in batches:
-        x_c = np.concatenate([refs[idx], mods[idx]], axis=1)
+    # one stack per batch size: BLAS rounds the rows of a short tail batch
+    # differently when they are encoded with the full batches
+    for size in {len(idx) for idx in batches}:
+        idx = np.array([i for i in batches if len(i) == size])
+        rows = idx.reshape(-1)
+        x_c = np.concatenate([refs[rows], mods[rows]], axis=1)
         f_c, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
-        f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], *shape)
-        est = mke.estimate_batch(f_c, f_t, q @ t.T, tcfg.tau, tcfg.tau_mk)
-        outliers = dpl.dbscan_1d(est, tcfg.dbscan_eps, tcfg.min_pts())
+        f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[rows], *shape)
+        f_c, f_t, q, t = (a.reshape(idx.shape + a.shape[1:]) for a in (f_c, f_t, q, t))
+        est = np.ones(idx.shape) if tcfg.has("no_mke") else mke.estimate_batch(
+            f_c, f_t, q @ np.swapaxes(t, -1, -2), tcfg.tau, tcfg.tau_mk,
+            use_transition_rate=not tcfg.has("no_tr"))
         cleanliness[idx] = est
-        mask[idx[list(outliers)]] = 0.0
+        mask[idx[dbscan_noise_flags(est, tcfg.dbscan_eps, tcfg.min_pts()) == 1]] = 0.0
     covered = ~np.isnan(cleanliness)
     return cleanliness, mask, covered
 

@@ -1,6 +1,6 @@
 """Mutual-knowledge (MK) and 1-D DBSCAN kernels: one numpy path.
 
-`mutual_knowledge_core` takes one (Q, D) pair or an (N, Q, D) stack of
+`mutual_knowledge_core` takes one (Q, D) pair or a (..., Q, D) stack of
 pairs; each pair of a stack gets the bits of its own 2-D call. The loop
 kernels are the references that tests and benchmark checks compare
 against. `USE_NUMBA` is always False and stays for benchmark records.
@@ -132,7 +132,8 @@ def dbscan_noise_flags(values, eps, min_pts):
     A point is noise iff no core point lies within eps of it (a core point
     is its own neighbour). The neighbourhoods use the loop kernel's
     ``|v_i - v_j| <= eps`` comparisons, so ties at exactly eps agree.
+    Each row of an (..., n) stack gets the flags of its own 1-D call.
     """
-    near = np.abs(values[:, None] - values[None, :]) <= eps
-    core = near.sum(axis=1) >= min_pts
-    return (~(near & core).any(axis=1)).astype(np.int64)
+    near = np.abs(values[..., :, None] - values[..., None, :]) <= eps
+    core = near.sum(axis=-1) >= min_pts
+    return (~(near & core[..., None, :]).any(axis=-1)).astype(np.int64)

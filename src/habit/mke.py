@@ -32,16 +32,16 @@ def mutual_knowledge(f_c, f_t, tau_mk: float) -> float:
     return float(mutual_knowledge_core(f_c, f_t, tau_mk))
 
 
-def select_standard(sim, tau: float) -> int:
+def select_standard(sim, tau: float) -> np.integer | np.ndarray:
     """Index of the batch row with the lowest diagonal InfoNCE loss.
 
-    Ties break to the lowest index for reproducibility.
+    Ties break to the lowest index. A (..., B, B) stack gives each batch's own.
     """
     s = np.asarray(sim, dtype=np.float64) / tau
-    s = s - s.max(axis=1, keepdims=True)
-    log_probs = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-    losses = -np.diagonal(log_probs)
-    return int(np.argmin(losses))
+    s = s - s.max(axis=-1, keepdims=True)
+    log_probs = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    losses = -np.diagonal(log_probs, axis1=-2, axis2=-1)
+    return np.argmin(losses, axis=-1)
 
 
 def transition_rate(mk_standard: float, mk_sample: float) -> float:
@@ -68,29 +68,34 @@ def estimate_batch(
     sim,
     tau: float,
     tau_mk: float,
-    standard_index: int | None = None,
+    standard_index: int | np.ndarray | None = None,
     use_transition_rate: bool = True,
 ) -> np.ndarray:
-    """Cleanliness estimates for a whole batch.
+    """Cleanliness estimates for a batch, or for a stack of batches.
 
-    The standard sample is picked by `select_standard` unless
-    `standard_index` overrides it (random-standard ablation). With
-    `use_transition_rate=False` the raw |MK_std - MK| differences replace
-    the transition rates (ablation D#2-style).
+    `composed` and `targets` are (..., B, Q, D) token stacks and `sim` the
+    (..., B, B) similarities; each batch of a stack gets the bits of its
+    own call. The standard sample is picked by `select_standard` unless
+    `standard_index`, an int or one per batch, overrides it (random-standard
+    ablation). With `use_transition_rate=False` the raw |MK_std - MK|
+    differences replace the transition rates (ablation D#2-style).
     """
     c = np.asarray(composed, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if c.ndim != 3 or t.ndim != 3 or c.shape[0] != t.shape[0] or c.shape[2] != t.shape[2]:
+    if c.ndim < 3 or c.shape[:-2] != t.shape[:-2] or c.shape[-1] != t.shape[-1]:
         raise DimensionMismatch(f"composed {c.shape} and target {t.shape} stacks disagree")
-    b = c.shape[0]
-    s = select_standard(sim, tau) if standard_index is None else int(standard_index)
+    b = c.shape[-3]
+    s = select_standard(sim, tau) if standard_index is None else standard_index
+    # the standard of each batch: c[at] is (..., Q, D), mk[at] is (...)
+    at = np.ix_(*map(np.arange, c.shape[:-3])) + (s,)
+    c_s, t_s = (np.repeat(x[at][..., None, :, :], b, axis=-3) for x in (c, t))
     # pair slots: [c_i, t_i] | [c_i, t_s] | [c_s, t_i], for i = 0..B-1
-    left = np.concatenate([c, c, np.broadcast_to(c[s], c.shape)])
-    right = np.concatenate([t, np.broadcast_to(t[s], t.shape), t])
+    left = np.concatenate([c, c, c_s], axis=-3)
+    right = np.concatenate([t, t_s, t], axis=-3)
     mk = mutual_knowledge_core(left, right, tau_mk)
-    mk_std = mk[s]
+    mk_std = mk[at][..., None]
     drift = np.abs(mk_std - mk)
     if use_transition_rate:
-        drift /= max(mk_std, TR_DENOM_EPS)
-    d_ct, d_c, d_t = drift[:b], drift[b : 2 * b], drift[2 * b :]
+        drift /= np.maximum(mk_std, TR_DENOM_EPS)
+    d_ct, d_c, d_t = drift[..., :b], drift[..., b : 2 * b], drift[..., 2 * b :]
     return 1.0 / (1.0 + d_ct + np.abs(d_c - d_t))

@@ -1,10 +1,12 @@
 import csv
 import json
 import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from habit import cli
+from habit import cli, dpl, mke, synth, train as train_mod
 from habit.errors import ConfigError
 
 SMALL = {
@@ -207,6 +209,72 @@ def test_detect_outputs(tmp_path):
     assert (tmp_path / "det" / "detection.csv").read_bytes() == (
         tmp_path / "det2" / "detection.csv"
     ).read_bytes()
+
+
+def detect_masks_per_batch(params, records, gallery, tcfg):
+    """The per-batch loop `cli.detect_masks` stacks: the reference it must equal bit for bit."""
+    refs = np.stack([r.ref_vec for r in records])
+    mods = np.stack([r.mod_vec for r in records])
+    tgts = np.stack([gallery[r.target_id].vec for r in records])
+    batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
+    cleanliness = np.full(len(records), np.nan)
+    mask = np.ones(len(records))
+    shape = (params.q_tokens, params.dim)
+    for idx in batches:
+        x_c = np.concatenate([refs[idx], mods[idx]], axis=1)
+        f_c, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
+        f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], *shape)
+        est = mke.estimate_batch(f_c, f_t, q @ t.T, tcfg.tau, tcfg.tau_mk)
+        outliers = dpl.dbscan_1d(est, tcfg.dbscan_eps, tcfg.min_pts())
+        cleanliness[idx] = est
+        mask[idx[list(outliers)]] = 0.0
+    covered = ~np.isnan(cleanliness)
+    return cleanliness, mask, covered
+
+
+def trained(gen=None, train=None):
+    """Parameters after a short run on all records of a SMALL-like config."""
+    records, gallery = synth.generate(synth.GenConfig(**{**SMALL["gen"], **(gen or {})}))
+    tcfg = train_mod.TrainConfig(**{**SMALL["train"], **(train or {})})
+    ckpt, _ = train_mod.train(records, gallery, tcfg)
+    return ckpt.params, records, gallery, tcfg
+
+
+def as_bytes(outputs):
+    return [a.tobytes() for a in outputs]
+
+
+@pytest.mark.parametrize("gen, train, sizes, dropped", [
+    ({}, {}, [8], 0),  # SMALL: five batches of 8
+    # a 16-record tail, at the reference shapes, where BLAS can round it apart from taller products
+    ({"n_triplets": 80, "n_gallery": 90, "d_in": 16}, {"batch_size": 32, "q_tokens": 4, "dim": 16}, [16, 32], 0),
+    ({"n_triplets": 41}, {}, [8], 1),  # the 1-record sliver is dropped
+], ids=["small", "tail16", "sliver1"])
+def test_detect_masks_equals_per_batch_loop(gen, train, sizes, dropped):
+    params, records, gallery, tcfg = trained(gen, train)
+    batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
+    assert sorted({len(b) for b in batches}) == sizes
+    got = cli.detect_masks(params, records, gallery, tcfg)
+    assert as_bytes(got) == as_bytes(detect_masks_per_batch(params, records, gallery, tcfg))
+    assert len(records) - got[2].sum() == dropped
+
+
+def test_detect_masks_honours_ablations(monkeypatch):
+    params, records, gallery, tcfg = trained()
+    full = cli.detect_masks(params, records, gallery, tcfg)
+
+    def detect(flag):
+        return cli.detect_masks(params, records, gallery, replace(tcfg, ablations=frozenset({flag})))
+
+    # training's no_sample standard comes from its per-step rng; detect keeps select_standard
+    assert as_bytes(detect("no_sample")) == as_bytes(full)
+    cleanliness, mask, covered = detect("no_mke")
+    assert (cleanliness == 1.0).all() and (mask == 1.0).all() and covered.all()
+    no_tr = detect("no_tr")
+    assert as_bytes(no_tr) != as_bytes(full)
+    estimate = mke.estimate_batch
+    monkeypatch.setattr(mke, "estimate_batch", lambda *a: estimate(*a, use_transition_rate=False))
+    assert as_bytes(no_tr) == as_bytes(detect_masks_per_batch(params, records, gallery, tcfg))
 
 
 def test_detect_corrupt_checkpoint_exit_4(tmp_path):

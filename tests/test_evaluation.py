@@ -94,6 +94,36 @@ def test_recall_subset_missing_target():
         evaluation.recall_subset(params, refs, mods, gal, true_ids, subsets)
 
 
+@pytest.mark.parametrize("n_subsets, lengths", [
+    (31, [6] * 31),  # more subsets than queries
+    (29, [6] * 29),  # fewer subsets than queries
+    (0, []),  # no query at all
+    (30, [6] * 29 + [5]),  # subsets of two lengths
+])
+def test_recall_subset_length_mismatch(n_subsets, lengths):
+    params, refs, mods, gal, true_ids = make_model(4)
+    subsets = [np.array([true_ids[i % 30], *range(1, n)]) for i, n in zip(range(n_subsets), lengths)]
+    ids = [] if n_subsets == 0 else true_ids
+    with pytest.raises(LengthMismatch):
+        evaluation.recall_subset(params, refs, mods, gal, ids, subsets)
+
+
+def test_recall_subset_ties_rank_in_subset_order():
+    # a distractor that scores exactly the target's score ranks ahead of the
+    # target when it comes first in the subset, and behind it otherwise
+    params, refs, mods, gal, true_ids = make_model(5)
+    t0, t1 = true_ids[0], true_ids[1]
+    twin = next(j for j in range(gal.shape[0]) if j not in (t0, t1))
+    gal[twin] = gal[t0]
+    subsets = [np.array([twin, t0]), np.array([t1, twin])] + [np.array([t, twin]) for t in true_ids[2:]]
+    out = evaluation.recall_subset(params, refs, mods, gal, true_ids, subsets, ks=(1, 2))
+    q = evaluation.pooled_queries(params, refs, mods)
+    g = evaluation.pooled_targets(params, gal)
+    assert g[twin].tobytes() == g[t0].tobytes()
+    later = sum(float(q[i] @ g[true_ids[i]]) < float(q[i] @ g[twin]) for i in range(1, len(true_ids)))
+    assert out == {1: (len(true_ids) - 1 - later) / len(true_ids), 2: 1.0}
+
+
 def test_detection_perfect_flags():
     truth = ["clean", "mismatch", "clean", "partial"]
     mask = np.array([1.0, 0.0, 1.0, 0.0])

@@ -81,3 +81,21 @@ def test_dbscan_exact_ties_at_eps():
                 kernels._dbscan_noise_loops(v, eps, min_pts),
             )
     assert ties > 0
+
+
+def test_dbscan_stack_equals_per_row_calls():
+    # an (nb, B) stack flags each row as its own 1-D call, also at ties of
+    # exactly eps (values on a grid of multiples of eps)
+    rng = np.random.default_rng(5)
+    ties = 0
+    for eps in (0.125, 0.05):
+        for _ in range(50):
+            nb, b = (int(x) for x in rng.integers(1, 9, size=2))
+            v = rng.integers(0, 12, size=(nb, b)) * eps
+            min_pts = int(rng.integers(1, 6))
+            ties += int(np.sum(np.abs(v[:, :, None] - v[:, None, :]) == eps))
+            stacked = kernels.dbscan_noise_flags(v, eps, min_pts)
+            assert stacked.shape == (nb, b)
+            for row, flags in zip(v, stacked):
+                np.testing.assert_array_equal(flags, kernels.dbscan_noise_flags(row, eps, min_pts))
+    assert ties > 0

@@ -210,3 +210,35 @@ def test_estimate_batch_equals_cleanliness_property(batch, tau_mk):
     s = mke.select_standard(sim, 0.1) if standard is None else standard
     for i in range(len(composed)):
         assert est[i] == mke.cleanliness(composed[i], targets[i], composed[s], targets[s], tau_mk)
+
+
+def _stack(rng, nb, b, q=4, d=16):
+    x = rng.standard_normal((nb, b, q, d))
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def test_select_standard_stack_equals_per_batch_calls():
+    rng = np.random.default_rng(14)
+    sim = rng.uniform(-1, 1, size=(7, 12, 12))
+    sim[3] = np.eye(12)  # symmetric ties -> lowest index
+    got = mke.select_standard(sim, 0.1)
+    assert got.tolist() == [mke.select_standard(s, 0.1) for s in sim]
+
+
+@pytest.mark.parametrize("tau_mk", [0.1, 0.01])
+@pytest.mark.parametrize("use_tr", [True, False])
+@pytest.mark.parametrize("given_standard", [False, True])
+def test_estimate_batch_stack_equals_per_batch_calls(tau_mk, use_tr, given_standard):
+    rng = np.random.default_rng(15)
+    nb, b = 6, 32
+    composed, targets = _stack(rng, nb, b), _stack(rng, nb, b)
+    sim = rng.uniform(-1, 1, size=(nb, b, b))
+    standard = rng.integers(b, size=nb) if given_standard else None
+    got = mke.estimate_batch(composed, targets, sim, 0.1, tau_mk, standard_index=standard,
+                             use_transition_rate=use_tr)
+    assert got.shape == (nb, b)
+    for i in range(nb):
+        want = mke.estimate_batch(composed[i], targets[i], sim[i], 0.1, tau_mk,
+                                  standard_index=None if standard is None else int(standard[i]),
+                                  use_transition_rate=use_tr)
+        assert got[i].tobytes() == want.tobytes()
