@@ -38,17 +38,16 @@ def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
     """Gallery ids ranked by descending cosine to each query; stable tie order.
 
     Equal to `np.argsort(-scores, axis=1, kind="stable")`, computed with one
-    int64 value sort per row instead of an argsort. Each row's key is
-
-        bits 63..b: the negated score's float64 bits, with the 63 low bits
-                    flipped when the sign bit is set (after -0.0 becomes 0.0),
-                    so that signed integer order is score order; truncated
-        bits b-1..0: the gallery id, b = max(1, (G - 1).bit_length())
-
-    so the sorted keys carry the ranked ids in their low bits. Truncation
-    keeps score order but can make close scores equal. A row whose truncated
-    keys are all distinct is in strict score order, which is the stable one;
-    every other row, and every row with a NaN, is argsorted again, stably.
+    float64 value sort per row instead of an argsort. Each row's key is the
+    negated score with its low b mantissa bits replaced by the gallery id,
+    b = max(1, (G - 1).bit_length()), so the sorted keys carry the ranked ids
+    in their low bits. Dropping those bits (truncating toward zero) keeps
+    score order on both signs but can make close scores equal. A row whose
+    truncated keys are all distinct, and whose sorted keys are finite at both
+    ends, is in strict score order, which is the stable one. A row is
+    argsorted again, stably, when two adjacent truncated keys are equal
+    (0.0 and -0.0 among them) or when an end key is not finite: an infinity
+    or a NaN in the row, which its id bits can turn into the other one.
     The ranking overwrites the scores: 8 bytes a scored pair, one matrix.
     """
     q = pooled_queries(params, refs, mods)
@@ -59,22 +58,20 @@ _BLOCK = 8  # rows keyed and sorted at a time
 
 
 def _rank_rows(neg):
-    """`np.argsort(neg, axis=1, kind="stable")` by `rank_gallery`'s packed keys,
+    """`np.argsort(neg, axis=1, kind="stable")` by `rank_gallery`'s float keys,
     written over the float64 `neg`, which it consumes, and returned as its intp view."""
     n, g = neg.shape
-    bits = max(1, (g - 1).bit_length())
+    low = (1 << max(1, (g - 1).bit_length())) - 1
     ids = np.arange(g)
     for lo in range(0, n, _BLOCK):
         x = neg[lo:lo + _BLOCK]
-        x += 0.0
         orig, k = x.copy(), x.view(np.int64)
-        k ^= (k >> 63) & 0x7FFF_FFFF_FFFF_FFFF
-        k &= -(1 << bits)
+        k &= ~low
         k |= ids
-        k.sort(axis=1)
-        top = k >> bits
-        redo = (top[:, 1:] == top[:, :-1]).any(axis=1) | np.isnan(orig).any(axis=1)
-        k &= (1 << bits) - 1
+        x.sort(axis=1)
+        top = (k & ~low).view(np.float64)
+        redo = (top[:, 1:] == top[:, :-1]).any(axis=1) | ~np.isfinite(x[:, 0]) | ~np.isfinite(x[:, -1])
+        k &= low
         for row in np.flatnonzero(redo):
             k[row] = np.argsort(orig[row], kind="stable")
     return neg.view(np.intp)
@@ -99,16 +96,22 @@ def build_subsets(true_target_ids, n_gallery, seed, size=6):
     """Per-query candidate subsets: the true target plus seeded distractors."""
     if not 1 <= size <= n_gallery:
         raise ConfigError(f"subset size {size} must be between 1 and the gallery size {n_gallery}")
-    rng = np.random.default_rng(seed)
+    draws = _draws(np.random.default_rng(seed), n_gallery)
     subsets = []
     for tid in true_target_ids:
         distractors = {}  # insertion-ordered set of the accepted draws
         while len(distractors) < size - 1:
-            c = int(rng.integers(n_gallery))
+            c = next(draws)
             if c != tid:
                 distractors[c] = None
         subsets.append(np.array([int(tid), *distractors]))
     return subsets
+
+
+def _draws(rng, n):
+    """The values of `int(rng.integers(n))` called again and again, drawn in blocks."""
+    while True:
+        yield from rng.integers(n, size=4096).tolist()
 
 
 def recall_subset(params, refs, mods, gallery_vecs, true_target_ids, subsets, ks=(1, 2, 3)):

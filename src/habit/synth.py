@@ -216,7 +216,7 @@ def read_dataset(path):
                         noise_label=obj["noise_label"],
                     )
                 )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad dataset file {path}: {exc}") from exc
     return records
 
@@ -232,6 +232,6 @@ def read_gallery(path):
                 gallery.append(
                     GalleryEntry(id=int(obj["id"]), vec=np.asarray(obj["vec"], dtype=np.float64))
                 )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad gallery file {path}: {exc}") from exc
     return gallery

@@ -152,7 +152,7 @@ def test_eval_reports_recall(tmp_path):
         ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data, "--out", out]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "eval" / "report.csv")))
+    rows = list(csv.DictReader((tmp_path / "eval" / "report.csv").read_text().splitlines()))
     recalls = {r["k"]: float(r["value"]) for r in rows if r["metric"] == "recall"}
     assert set(recalls) == {"1", "5", "10"}
     assert recalls["1"] <= recalls["5"] <= recalls["10"]
@@ -162,7 +162,7 @@ def test_eval_reports_recall(tmp_path):
          "--out", out, "--ks", "60"]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "eval" / "report.csv")))
+    rows = list(csv.DictReader((tmp_path / "eval" / "report.csv").read_text().splitlines()))
     assert float([r for r in rows if r["k"] == "60"][0]["value"]) == 1.0
 
 
@@ -365,7 +365,7 @@ def test_sweep_sigma(tmp_path):
         ["sweep", "--config", cfg_path, "--out", out, "--axis", "sigma", "--values", "0.0,0.5"]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "sweep" / "sweep_summary.csv")))
+    rows = list(csv.DictReader((tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()))
     assert len(rows) == 2
     assert [r["value"] for r in rows] == ["0.0", "0.5"]
     assert all(r["status"] == "ok" for r in rows)
@@ -432,6 +432,29 @@ def _corrupt_first_record(data, **fields):
     lines = path.read_text().splitlines()
     lines[0] = json.dumps({**json.loads(lines[0]), **fields})
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("file, edit", [
+    ("dataset.jsonl", lambda obj: [1, 2]),
+    ("dataset.jsonl", lambda obj: {**obj, "id": None}),
+    ("dataset.jsonl", lambda obj: {**obj, "ref": {"a": 1}}),
+    ("gallery.jsonl", lambda obj: [1]),
+    ("gallery.jsonl", lambda obj: {**obj, "id": None}),
+], ids=["dataset-list", "dataset-null-id", "dataset-ref-object", "gallery-list", "gallery-null-id"])
+@pytest.mark.parametrize("command", ["train", "eval", "detect"])
+def test_data_wrong_json_type_exit_4(tmp_path, capsys, command, file, edit):
+    # valid JSON of the wrong type is a malformed file, not a traceback
+    cfg_path, data, run = full_pipeline(tmp_path)
+    path = tmp_path / "data" / file
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n")
+    argv = [command, "--config", cfg_path, "--data", data, "--out", str(tmp_path / "out")]
+    if command != "train":
+        argv += ["--ckpt", f"{run}/checkpoint.bin"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"format error: bad {file.split('.')[0]} file" in err and "Traceback" not in err
 
 
 def test_train_target_outside_gallery_exit_4(tmp_path, capsys):

@@ -225,13 +225,18 @@ def _float(bits):
     return np.array([bits], dtype=np.int64).view(np.float64)[0]
 
 
+LOW_NAN = _float(0x7FF0_0000_0000_0001)  # a NaN whose payload is only the lowest bit
+
+
 @st.composite
 def score_matrices(draw):
     """Raw score rows drawn from a pool built to stress the packed keys.
 
     The pool holds exact ties, both zeros, NaNs of either sign and with two
-    payloads, both infinities, and a value with neighbours 1 to 2**bits ulps
-    away: distinct scores that can share a truncated key.
+    payloads, NaNs of either sign whose payload lies only in the lowest bit
+    (their truncated keys are infinities), both infinities, and a value with
+    neighbours 1 to 2**bits ulps away: distinct scores that can share a
+    truncated key.
     """
     k = draw(st.integers(0, 7))
     g = draw(st.sampled_from(sorted({1, 2, 2**k, 2**k + 1})))
@@ -240,7 +245,7 @@ def score_matrices(draw):
     anchor = draw(st.floats(-2.0, 2.0, allow_subnormal=True))
     anchor_bits = int(np.array([anchor]).view(np.int64)[0])
     near = [_float(anchor_bits + d) for d in draw(st.lists(st.integers(0, 2**bits), min_size=1, max_size=6))]
-    pool = [0.0, -0.0, np.nan, -np.nan, _float(0x7FF8_0000_0001_0000), np.inf, -np.inf,
+    pool = [0.0, -0.0, np.nan, -np.nan, _float(0x7FF8_0000_0001_0000), LOW_NAN, -LOW_NAN, np.inf, -np.inf,
             draw(st.floats(allow_nan=False)), *near]
     # free floats between the pool's values leave some rows without any tie
     neg = draw(hnp.arrays(np.float64, (n, g), elements=st.sampled_from(pool) | st.floats()))
@@ -254,6 +259,7 @@ def score_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(score_matrices())
 @example(np.array([[0.5, 0.0, -1.0, -0.0]]))  # -0.0 and 0.0 tie
+@example(np.array([[-LOW_NAN, 0.5, 0.3]]))  # the NaN's key at id 0 is -inf
 def test_rank_rows_equals_stable_argsort(neg):
     got = evaluation._rank_rows(neg.copy())
     assert got.dtype == np.intp
@@ -308,15 +314,26 @@ def build_subsets_by_list(true_target_ids, n_gallery, seed, size):
     return subsets
 
 
+def assert_same_subsets(true_ids, n, seed, size):
+    got = evaluation.build_subsets(true_ids, n, seed=seed, size=size)
+    want = build_subsets_by_list(true_ids, n, seed=seed, size=size)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and (a == b).all()
+
+
 def test_build_subsets_equals_list_scan():
     n = 9
-    true_ids = [0, 8, 3, 3, 5, 1, 7]
     for size in (1, 2, 6, n - 1, n):
-        got = evaluation.build_subsets(true_ids, n, seed=11, size=size)
-        want = build_subsets_by_list(true_ids, n, seed=11, size=size)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and (a == b).all()
+        assert_same_subsets([0, 8, 3, 3, 5, 1, 7], n, seed=11, size=size)
+
+
+@pytest.mark.parametrize("n_ids, n, size", [
+    (400, 20_000, 6),  # eval_gallery's sizes, within one block of draws
+    (1000, 20_000, 6),  # about 5000 draws, nearly all of them kept: across a refill
+], ids=["eval-gallery", "refill"])
+def test_build_subsets_equals_list_scan_at_scale(n_ids, n, size):
+    assert_same_subsets(np.random.default_rng(n_ids).integers(n, size=n_ids).tolist(), n, seed=7, size=size)
 
 
 def pairwise_auc(pos, neg):
