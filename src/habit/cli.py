@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, mke, synth, train as train_mod
+from . import evaluation, synth, train as train_mod
 from .errors import ConfigError, FormatError, HabitError
 from .kernels import dbscan_noise_flags
 
@@ -122,6 +122,8 @@ def _load_data(data_dir: Path):
     shapes = {g.vec.shape for g in gallery} | {v.shape for r in records for v in (r.ref_vec, r.mod_vec)}
     if len(shapes) > 1:
         raise FormatError(f"{data_dir}: ref, mod and gallery vectors differ in length: {sorted(shapes)}")
+    if (0,) in shapes:
+        raise FormatError(f"{data_dir}: ref, mod and gallery vectors are empty")
     for r in records:
         if not 0 <= r.target_id < len(gallery):
             raise FormatError(f"{ds}: record {r.id}: target_id {r.target_id} is outside the gallery")
@@ -177,8 +179,8 @@ def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> None:
 def detect_masks(params, records, gallery, tcfg):
     """Inference-mode cleanliness + outlier mask, one stacked pass per batch size.
 
-    `no_tr` and `no_mke` hold as in training. `no_sample` keeps
-    `select_standard`: training drew its standard from its per-step rng.
+    The estimates follow training's rule, `train.estimate`, with no rng: under
+    `no_sample` detect keeps `select_standard`.
     """
     refs = np.array([r.ref_vec for r in records])
     mods = np.array([r.mod_vec for r in records])
@@ -196,9 +198,7 @@ def detect_masks(params, records, gallery, tcfg):
         f_c, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
         f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[rows], *shape)
         f_c, f_t, q, t = (a.reshape(idx.shape + a.shape[1:]) for a in (f_c, f_t, q, t))
-        est = np.ones(idx.shape) if tcfg.has("no_mke") else mke.estimate_batch(
-            f_c, f_t, q @ np.swapaxes(t, -1, -2), tcfg.tau, tcfg.tau_mk,
-            use_transition_rate=not tcfg.has("no_tr"))
+        est = train_mod.estimate(f_c, f_t, q @ np.swapaxes(t, -1, -2), tcfg)
         cleanliness[idx] = est
         mask[idx[dbscan_noise_flags(est, tcfg.dbscan_eps, tcfg.min_pts()) == 1]] = 0.0
     covered = ~np.isnan(cleanliness)
@@ -263,8 +263,8 @@ SWEEP_AXES = {"sigma": ("gen", "sigma"), "kappa": ("train", "kappa"), "gamma": (
 def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> None:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {sorted(SWEEP_AXES)}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    if not values or not np.isfinite(values).all():
+        raise ConfigError(f"sweep needs one or more finite values, got {values!r}")
     section, key = SWEEP_AXES[axis]
     names = [f"{axis}_{value:g}" for value in values]
     shared = sorted({name for name in names if names.count(name) > 1})

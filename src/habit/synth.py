@@ -197,41 +197,45 @@ def write_gallery(gallery, path):
             fh.write('{"id": %d, "vec": %s}\n' % (g.id, _fmt(g.vec)))
 
 
-def read_dataset(path):
-    records = []
+# %.17g writes -0.0 as "-0"; read as the float, it keeps its sign bit
+_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
+
+
+def _read_jsonl(path, what, parse):
+    """parse(obj) for each non-blank JSON line of `path`; a malformed line raises FormatError."""
     try:
         with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if obj["noise_label"] not in NOISE_LABELS:
-                    raise FormatError(f"unknown noise_label {obj['noise_label']!r}")
-                records.append(
-                    TripletRecord(
-                        id=int(obj["id"]),
-                        ref_vec=np.asarray(obj["ref"], dtype=np.float64),
-                        mod_vec=np.asarray(obj["mod"], dtype=np.float64),
-                        target_id=int(obj["target_id"]),
-                        noise_label=obj["noise_label"],
-                    )
-                )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad dataset file {path}: {exc}") from exc
-    return records
+            return [parse(_DECODER.decode(line)) for line in fh if line.strip()]
+    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad {what} file {path}: {exc}") from exc
+
+
+def _id(obj, key):
+    if type(obj[key]) is not int:  # bool is not an id, nor is 2.0 or "2"
+        raise TypeError(f"{key} {obj[key]!r} is not a JSON integer")
+    return obj[key]
+
+
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _vector(obj, key):
+    # float64 from the start: an all-integral vector, written as "1, 0, ...", keeps its bits
+    if type(obj[key]) is not list or not _NUMBER_TYPES.issuperset(map(type, obj[key])):
+        raise TypeError(f"{key} is not a flat list of JSON numbers")
+    return np.array(obj[key], dtype=np.float64)
+
+
+def _record(obj):
+    if obj["noise_label"] not in NOISE_LABELS:
+        raise ValueError(f"unknown noise_label {obj['noise_label']!r}")
+    return TripletRecord(id=_id(obj, "id"), ref_vec=_vector(obj, "ref"), mod_vec=_vector(obj, "mod"),
+                         target_id=_id(obj, "target_id"), noise_label=obj["noise_label"])
+
+
+def read_dataset(path):
+    return _read_jsonl(path, "dataset", _record)
 
 
 def read_gallery(path):
-    gallery = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                gallery.append(
-                    GalleryEntry(id=int(obj["id"]), vec=np.asarray(obj["vec"], dtype=np.float64))
-                )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad gallery file {path}: {exc}") from exc
-    return gallery
+    return _read_jsonl(path, "gallery", lambda obj: GalleryEntry(id=_id(obj, "id"), vec=_vector(obj, "vec")))

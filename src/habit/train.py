@@ -133,9 +133,6 @@ class TrainConfig:
             return self.dbscan_min_pts
         return max(2, int(np.ceil(0.1 * self.batch_size)))
 
-    def has(self, flag: str) -> bool:
-        return flag in self.ablations
-
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["ablations"] = sorted(self.ablations)
@@ -204,6 +201,19 @@ def _backprop_encoder(d_pooled, f, rn, vn, pooled, x, q_tokens, dim):
 _grad_rank, _grad_kl, _grad_soft = dpl._rank_term, dpl._kl_term, dpl._soft_term
 
 
+def estimate(f_c, f_t, sim, cfg, rng=None):
+    """Cleanliness of one batch or a (..., B) stack: the one rule of training and detect.
+
+    Under `no_sample` the standard is drawn from `rng`; with none (detect) `select_standard` picks it.
+    """
+    if "no_mke" in cfg.ablations:
+        return np.ones(sim.shape[:-1])
+    draw = rng is not None and "no_sample" in cfg.ablations
+    standard = int(rng.integers(sim.shape[-1])) if draw else None
+    return mke.estimate_batch(f_c, f_t, sim, cfg.tau, cfg.tau_mk, standard_index=standard,
+                              use_transition_rate="no_tr" not in cfg.ablations)
+
+
 def loss_and_grad(
     params, refs, mods, tgts, memory, cfg, rng=None,
     frozen_estimates=None, frozen_mask=None,
@@ -216,8 +226,9 @@ def loss_and_grad(
 
     Estimates, masks, margins, the standard-sample choice, and all cached
     history are constants with respect to the gradient. `frozen_estimates`
-    / `frozen_mask` pin them to given values (used by finite-difference
-    checks, which must not differentiate through stop-gradient paths).
+    / `frozen_mask` replace the estimates and the mask for every term (used by
+    finite-difference checks, which must not differentiate through stop-gradient
+    paths); under `no_mke` / `no_mask` those are all ones, so pin all ones there.
     """
     refs = np.asarray(refs, dtype=np.float64)
     mods = np.asarray(mods, dtype=np.float64)
@@ -225,6 +236,8 @@ def loss_and_grad(
     b = refs.shape[0]
     if b < 2:
         raise DegenerateBatch("training batch must have B >= 2")
+    if rng is None and "no_sample" in cfg.ablations:
+        raise ConfigError("no_sample ablation needs an rng")
 
     x_c = np.concatenate([refs, mods], axis=1)
     f_c, rn_c, vn_c, q_pool = _encode_batch(
@@ -235,57 +248,36 @@ def loss_and_grad(
     )
     sim = q_pool @ t_pool.T
 
-    # --- cleanliness estimation (all stop-gradient) ---
-    if frozen_estimates is not None:
-        estimates = np.asarray(frozen_estimates, dtype=np.float64)
-    elif cfg.has("no_mke"):
-        estimates = np.ones(b)
-    else:
-        std_idx = None
-        if cfg.has("no_sample"):
-            if rng is None:
-                raise ConfigError("no_sample ablation needs an rng")
-            std_idx = int(rng.integers(b))
-        estimates = mke.estimate_batch(
-            f_c, f_t, sim, cfg.tau, cfg.tau_mk,
-            standard_index=std_idx,
-            use_transition_rate=not cfg.has("no_tr"),
-        )
-
-    # --- chrono-synergia mask (stop-gradient) ---
+    # --- cleanliness estimation and chrono-synergia mask (stop-gradient) ---
+    estimates = estimate(f_c, f_t, sim, cfg, rng) if frozen_estimates is None else (
+        np.asarray(frozen_estimates, dtype=np.float64))
     outliers = dpl.dbscan_1d(estimates, cfg.dbscan_eps, cfg.min_pts())
-    if frozen_mask is not None:
-        mask = np.asarray(frozen_mask, dtype=np.float64)
-    elif cfg.has("no_mask"):
-        mask = np.ones(b)
-    else:
-        # without chrono-synergia an outlier now is masked now
-        no_cs = cfg.has("no_cs") or cfg.has("no_history")
-        mask = dpl.chrono_mask(outliers, outliers if no_cs else memory.prev_outliers, b)
+    # no previous outliers mask nothing; without chrono-synergia an outlier now is masked now
+    no_cs = "no_cs" in cfg.ablations or "no_history" in cfg.ablations
+    prev = None if "no_mask" in cfg.ablations else outliers if no_cs else memory.prev_outliers
+    mask = dpl.chrono_mask(outliers, prev, b) if frozen_mask is None else (
+        np.asarray(frozen_mask, dtype=np.float64))
 
     ones = np.ones(b)
-    mask_rank = ones if cfg.has("no_mask") or cfg.has("no_mask_rank") else mask
-    mask_soft = ones if cfg.has("no_mask") or cfg.has("no_mask_soft") else mask
-    mask_kl = ones if cfg.has("no_mask") or cfg.has("no_mask_kl") else mask
+    mask_rank = ones if "no_mask_rank" in cfg.ablations else mask
+    mask_soft = ones if "no_mask_soft" in cfg.ablations else mask
+    mask_kl = ones if "no_mask_kl" in cfg.ablations else mask
 
     # --- losses on the similarity matrix ---
     g_sim = np.zeros_like(sim)
     rank = kl = soft = 0.0
-    if not cfg.has("no_rank"):
+    if "no_rank" not in cfg.ablations:
         rank, g = _grad_rank(sim, mask_rank, cfg.tau)
         g_sim += g
 
-    use_kl = not (cfg.has("no_kl") or cfg.has("no_history"))
-    if use_kl and memory.prev_similarity is not None:
-        prev_mask_kl = (
-            ones if cfg.has("no_mask") or cfg.has("no_mask_kl") else memory.prev_mask
-        )
+    # under no_history the memory stays empty, so there is no KL term
+    if "no_kl" not in cfg.ablations and memory.prev_similarity is not None:
+        prev_mask_kl = ones if "no_mask_kl" in cfg.ablations else memory.prev_mask
         kl, g = _grad_kl(sim, memory.prev_similarity, mask_kl, prev_mask_kl, cfg.tau)
         g_sim += cfg.kappa * g
 
-    if not cfg.has("no_soft"):
-        margins_from = ones if cfg.has("no_mke") else estimates
-        soft, g = _grad_soft(sim, margins_from, mask_soft, cfg.m_base)
+    if "no_soft" not in cfg.ablations:
+        soft, g = _grad_soft(sim, estimates, mask_soft, cfg.m_base)
         g_sim += cfg.gamma * g
 
     breakdown = dpl.total_objective(rank, kl, soft, cfg.kappa, cfg.gamma)
@@ -420,20 +412,16 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     it = start_epoch * len(batches)
     for epoch in range(start_epoch, cfg.epochs):
         for bid, idx in enumerate(batches):
-            mem = memories[bid]
             breakdown, grads, estimates, mask, sim, outliers = loss_and_grad(
-                params, refs[idx], mods[idx], tgts[idx], mem, cfg, rng
+                params, refs[idx], mods[idx], tgts[idx], memories[bid], cfg, rng
             )
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(
                     f"epoch {epoch}, iter {it + 1}: loss_total is {breakdown.total}"
                 )
             adamw_step(params, grads, opt, cfg.learning_rate, cfg.weight_decay)
-            if not cfg.has("no_history"):
-                mem.prev_similarity = sim
-                mem.prev_estimates = estimates
-                mem.prev_outliers = outliers
-                mem.prev_mask = mask
+            if "no_history" not in cfg.ablations:
+                memories[bid] = dpl.BatchMemory(sim, estimates, outliers, mask)
             it += 1
             row = (epoch, it, breakdown.total, breakdown.rank, breakdown.kl, breakdown.soft,
                    int(np.sum(mask == 0.0)), float(np.mean(estimates)))

@@ -385,6 +385,17 @@ def test_sweep_shared_run_directory_exit_2(tmp_path, capsys, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["inf", "0.5,nan", "-inf"])
+def test_sweep_non_finite_value_exit_2(tmp_path, capsys, values):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", cfg_path, "--out", str(out), "--axis", "kappa", f"--values={values}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_unknown_axis_exit_2(tmp_path):
     cfg_path = write_config(tmp_path)
     with pytest.raises(SystemExit):  # argparse rejects bad --axis choices
@@ -440,7 +451,20 @@ def _corrupt_first_record(data, **fields):
     ("dataset.jsonl", lambda obj: {**obj, "ref": {"a": 1}}),
     ("gallery.jsonl", lambda obj: [1]),
     ("gallery.jsonl", lambda obj: {**obj, "id": None}),
-], ids=["dataset-list", "dataset-null-id", "dataset-ref-object", "gallery-list", "gallery-null-id"])
+    # valid JSON, but not a valid value for its field
+    ("dataset.jsonl", lambda obj: {**obj, "target_id": 2.7}),
+    ("dataset.jsonl", lambda obj: {**obj, "target_id": True}),
+    ("dataset.jsonl", lambda obj: {**obj, "id": "3"}),
+    ("dataset.jsonl", lambda obj: {**obj, "ref": ["2"] + obj["ref"][1:]}),
+    ("dataset.jsonl", lambda obj: {**obj, "mod": [False] + obj["mod"][1:]}),
+    ("dataset.jsonl", lambda obj: {**obj, "ref": [obj["ref"]]}),
+    ("gallery.jsonl", lambda obj: {**obj, "id": 1.5}),
+    ("gallery.jsonl", lambda obj: {**obj, "vec": [10**400] + obj["vec"][1:]}),  # no float64 holds it
+    ("dataset.jsonl", lambda obj: {**obj, "noise_label": "dirty"}),
+], ids=["dataset-list", "dataset-null-id", "dataset-ref-object", "gallery-list", "gallery-null-id",
+        "dataset-float-target", "dataset-bool-target", "dataset-string-id", "dataset-string-entry",
+        "dataset-bool-entry", "dataset-nested-ref", "gallery-float-id", "gallery-huge-entry",
+        "dataset-unknown-label"])
 @pytest.mark.parametrize("command", ["train", "eval", "detect"])
 def test_data_wrong_json_type_exit_4(tmp_path, capsys, command, file, edit):
     # valid JSON of the wrong type is a malformed file, not a traceback
@@ -475,6 +499,21 @@ def test_train_ref_wrong_length_exit_4(tmp_path, capsys):
     code = cli.main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == 4
     assert "differ in length" in capsys.readouterr().err
+
+
+def test_train_empty_vectors_exit_4(tmp_path, capsys):
+    # with every vector empty the lengths agree, but an encoder of input width 0 cannot be built
+    cfg_path = write_config(tmp_path)
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", cfg_path, "--out", str(data)]) == 0
+    for name, keys in (("dataset.jsonl", ("ref", "mod")), ("gallery.jsonl", ("vec",))):
+        lines = [json.loads(line) for line in (data / name).read_text().splitlines()]
+        (data / name).write_text("".join(json.dumps({**obj, **dict.fromkeys(keys, [])}) + "\n" for obj in lines))
+    code = cli.main(["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "vectors are empty" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "detect"])

@@ -127,6 +127,19 @@ def test_jsonl_round_trip(tmp_path):
         np.testing.assert_array_equal(a.vec, b.vec)
 
 
+def test_all_integral_vectors_read_back_as_float64(tmp_path):
+    # %.17g writes 1.0 as "1", so these lines hold JSON integers only
+    vecs = [np.array([1.0, 0.0, -2.0]), np.array([-0.0, 3.0, 0.0])]
+    records = [synth.TripletRecord(id=0, ref_vec=vecs[0], mod_vec=vecs[1], target_id=1, noise_label="clean")]
+    gallery = [synth.GalleryEntry(id=i, vec=v) for i, v in enumerate(vecs)]
+    synth.write_dataset(records, tmp_path / "d.jsonl")
+    synth.write_gallery(gallery, tmp_path / "g.jsonl")
+    assert "." not in (tmp_path / "g.jsonl").read_text()
+    back, gback = synth.read_dataset(tmp_path / "d.jsonl")[0], synth.read_gallery(tmp_path / "g.jsonl")
+    for vec, got in zip(vecs * 2, [back.ref_vec, back.mod_vec] + [g.vec for g in gback]):
+        assert got.dtype == np.float64 and got.tobytes() == vec.tobytes()
+
+
 def test_read_dataset_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": 1, "ref": [1, 2]\n')

@@ -370,14 +370,80 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert (tmp_path / "ck_a.bin").read_bytes() == (tmp_path / "ck_b.bin").read_bytes()
 
 
-@pytest.mark.parametrize("ablations, ckpt_sha, rows_sha", [
-    ((), "4f7548eb1d9e24462de16573e2d97274da6afa790389f0cd3845bbbd553a6e21",
-     "8fffca568ce97b844b5c17c2d66c3d6b388fba6f3ec6f4ef9deb7c822c0282d9"),
-    (("no_history", "no_mke"), "470f11c69180491471c2457bdb3659d266ebe5d8fead59b9997a9147766de129",
-     "1fb6d69d77296ecdd3e9dd7ad0681560b66becc23b981755dd8cb1df5d24abda"),
-], ids=["full", "empty-memories"])
-def test_train_bytes_pinned(tmp_path, ablations, ckpt_sha, rows_sha):
-    # SHA-256 of a known-good run: a change to the checkpoint or metrics bytes fails here
+# SHA-256 of the checkpoint and of the metrics rows of known-good runs, one
+# case with no flag, one for each ablation flag alone and one with empty memories
+PINNED_RUNS = {
+    (): (
+        "4f7548eb1d9e24462de16573e2d97274da6afa790389f0cd3845bbbd553a6e21",
+        "8fffca568ce97b844b5c17c2d66c3d6b388fba6f3ec6f4ef9deb7c822c0282d9",
+    ),
+    ("no_cs",): (
+        "c753bf0c326568bca7dd909f2e8ef5ee0648a5266c117c972af389d80aba8a65",
+        "1f6785a67995c57425c8f60ef5bceaef0e4fccea4c96bc8fbe2115ec1cf0a3db",
+    ),
+    ("no_history",): (
+        "61b7927513072cb0582dc626d5296cc4f118601ff4b5c9276b9c4fd5e2b2ccde",
+        "6993d03234b2556479aedb4bf02fad7eb1e80be796ef2991390306e79e620cef",
+    ),
+    ("no_kl",): (
+        "e980214b400c990b21af50729d638c18f4639264610206e2556f5a449a921f9a",
+        "ccdf87321db2714cdfee5c1a5a4549ee2901f5bd2af67e51bc1cae8bf1999ea4",
+    ),
+    ("no_mask",): (
+        "227b9c3fdd62986985e8e03eb7b2828574539f352cdc6f16026702b0d16a55cc",
+        "0dce79ea8e47b11720ae5e8b622d34c37a2c1cc1ee930656bf10bb137274db32",
+    ),
+    ("no_mask_kl",): (
+        "312d6c817462e4a9ea6bdd5e1d64128a6ec6171e68d7fd1a7091b0cef3408941",
+        "cdba374b7567c088e9c25b9898ea54048649ff4b534450790df22d7aca9892f9",
+    ),
+    ("no_mask_rank",): (
+        "ca6278b829440c54f83197b293972b6348ab77263a290ac7b5dcf32b7124c448",
+        "a4b7fcc290a73f2dd883cdacb9447dbd4da946dd6af5d40f9a78487666581272",
+    ),
+    ("no_mask_soft",): (
+        "7fab93a76d40002d74c51bb721e41846c6bea756a2b29dd2af6c2e782b04f133",
+        "e45a6d81a09b5aa4eed9b8eb9a0d9e8704b6c0a02af9619e2b88d5e004a17909",
+    ),
+    ("no_mke",): (
+        "d5bcc43424d909f1c0cca798505431947ab71ad97e4e95a6f9294ebc157b313a",
+        "0ae1bece3d0e63811e50bee9ccb2b8f4fa57c5bb2d2f2152573ebe4c0fa6919d",
+    ),
+    ("no_rank",): (
+        "f558423dc7a5dd3fea121e967204599cb2731fb02129bd329b29e50cf1a9fbd4",
+        "1175c725de6716426589b17ff5f0b3825a8477c287c7cb3ab00e5b21e970a067",
+    ),
+    ("no_sample",): (
+        "8bf6abfd33e46bb7729891844a98781ddec77b33d7590105dca16a9a092faf73",
+        "a16d4840f92d89a858128f815c7ff1bcd86493f6577d3779f04b7a4bb14582b2",
+    ),
+    ("no_soft",): (
+        "5e61fc4747ff82f3ff172136bb4858e86fed9ce6ed28d2833e721323c0984f1f",
+        "2ba23d6bd9866d47c57d9bdca45c7927689cc83b56f7970bd8187f849388d967",
+    ),
+    ("no_tr",): (
+        "d1bf34f34c558e608005a291a59d939a30b91b299d3f514c54e00b0b84593ea4",
+        "36ce6b0a65ebf65c87fd7e4fcc15434e9dfa06adf42197ab9755254e87ad9e2f",
+    ),
+    ("no_history", "no_mke"): (
+        "470f11c69180491471c2457bdb3659d266ebe5d8fead59b9997a9147766de129",
+        "1fb6d69d77296ecdd3e9dd7ad0681560b66becc23b981755dd8cb1df5d24abda",
+    ),
+}
+
+
+def test_pinned_runs_differ():
+    # every flag moves both hashes, so a case that ignored its flag would fail
+    assert {flags for flags in PINNED_RUNS if len(flags) == 1} == {(f,) for f in T.ABLATION_FLAGS}
+    for column in zip(*PINNED_RUNS.values()):
+        assert len(set(column)) == len(PINNED_RUNS)
+
+
+@pytest.mark.parametrize("ablations", PINNED_RUNS, ids=lambda flags: {
+    (): "full", ("no_history", "no_mke"): "empty-memories"}.get(flags, "-".join(flags)))
+def test_train_bytes_pinned(tmp_path, ablations):
+    # a change to the checkpoint or metrics bytes of any pinned run fails here
+    ckpt_sha, rows_sha = PINNED_RUNS[ablations]
     records, gallery = tiny_dataset(sigma=0.25)
     cfg = small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=22, ablations=ablations)
     ckpt, metrics = T.train(records, gallery, cfg)
