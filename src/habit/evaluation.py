@@ -84,10 +84,14 @@ def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
     if ranked.shape[0] != true_ids.shape[0]:
         raise LengthMismatch("one ranked list per query required")
     hit = ranked == true_ids[:, None]
-    if not hit.any(axis=1).all():
-        i = int(np.argmin(hit.any(axis=1)))
-        raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
+    if not hit.shape[1]:  # empty lists: one column that holds no hit
+        hit = np.zeros((hit.shape[0], 1), dtype=bool)
+    # one scan of the hit matrix: each row's first hit, or 0 in a row with none
     positions = hit.argmax(axis=1)
+    found = hit[np.arange(hit.shape[0]), positions]
+    if not found.all():
+        i = int(np.argmin(found))
+        raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
     recall = {int(k): float(np.mean(positions < k)) for k in ks}
     return RetrievalReport(recall_at=recall, n_queries=ranked.shape[0])
 

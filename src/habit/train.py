@@ -146,6 +146,8 @@ def config_hash(cfg: TrainConfig) -> int:
 
 def init_params(d_in: int, q_tokens: int, dim: int, seed: int) -> EncoderParams:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    if d_in < 1:
+        raise DimensionMismatch(f"input width {d_in}: an encoder needs vectors of one entry or more")
     rng = np.random.default_rng(seed)
     qd = q_tokens * dim
 
@@ -167,21 +169,26 @@ def _encode_batch(w, b, x, q_tokens, dim):
     """Batch affine encode + row normalize + mean pool, keeping backward intermediates.
 
     The one encoder of train, eval and detect: x is (B, d) with d == w.shape[1].
-    Returns (tokens, row_norms, pooled_norms, pooled_unit).
+    Returns (tokens, row_norms, pooled_norms, pooled_unit). Each step writes
+    into the array the step before it made: the bits of the out-of-place
+    expressions, without a fresh (B, Q*D) buffer per step. x, w and b are
+    not written.
     """
     if x.shape[-1] != w.shape[1]:
         raise DimensionMismatch(f"input width {x.shape[-1]} != encoder input width {w.shape[1]}")
-    z = x @ w.T + b
-    tok = z.reshape(x.shape[0], q_tokens, dim)
-    rn = np.sqrt(np.einsum("bqd,bqd->bq", tok, tok))
+    f = x @ w.T
+    f += b
+    f = f.reshape(x.shape[0], q_tokens, dim)
+    rn = np.sqrt(np.einsum("bqd,bqd->bq", f, f))
     if (rn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate token row during batch encoding")
-    f = tok / rn[:, :, None]
-    vmean = f.sum(axis=1) / q_tokens  # f.mean(axis=1), without its overhead
-    vn = np.sqrt(np.einsum("bd,bd->b", vmean, vmean))
+    f /= rn[:, :, None]
+    pooled = f.sum(axis=1)
+    pooled /= q_tokens  # f.mean(axis=1), without its overhead
+    vn = np.sqrt(np.einsum("bd,bd->b", pooled, pooled))
     if (vn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate pooled vector during batch encoding")
-    pooled = vmean / vn[:, None]
+    pooled /= vn[:, None]
     return f, rn, vn, pooled
 
 

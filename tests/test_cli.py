@@ -245,15 +245,19 @@ def as_bytes(outputs):
 
 
 @pytest.mark.parametrize("gen, train, sizes, dropped", [
-    ({}, {}, [8], 0),  # SMALL: five batches of 8
+    ({}, {}, {8: 5}, 0),  # SMALL: five batches of 8
     # a 16-record tail, at the reference shapes, where BLAS can round it apart from taller products
-    ({"n_triplets": 80, "n_gallery": 90, "d_in": 16}, {"batch_size": 32, "q_tokens": 4, "dim": 16}, [16, 32], 0),
-    ({"n_triplets": 41}, {}, [8], 1),  # the 1-record sliver is dropped
-], ids=["small", "tail16", "sliver1"])
+    ({"n_triplets": 80, "n_gallery": 90, "d_in": 16}, {"batch_size": 32, "q_tokens": 4, "dim": 16},
+     {16: 1, 32: 2}, 0),
+    ({"n_triplets": 41}, {}, {8: 5}, 1),  # the 1-record sliver is dropped
+    # 41 batches of 8 are estimated in chunks of 16, 16 and a partial 9
+    ({"n_triplets": 328, "n_gallery": 340}, {}, {8: 2 * cli.DETECT_CHUNK + 9}, 0),
+], ids=["small", "tail16", "sliver1", "chunks"])
 def test_detect_masks_equals_per_batch_loop(gen, train, sizes, dropped):
     params, records, gallery, tcfg = trained(gen, train)
     batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
-    assert sorted({len(b) for b in batches}) == sizes
+    lengths = [len(b) for b in batches]
+    assert {n: lengths.count(n) for n in lengths} == sizes
     got = cli.detect_masks(params, records, gallery, tcfg)
     assert as_bytes(got) == as_bytes(detect_masks_per_batch(params, records, gallery, tcfg))
     assert len(records) - got[2].sum() == dropped

@@ -90,6 +90,28 @@ def test_encode_matches_dense_matmul_oracle():
         np.testing.assert_allclose(pooled[n], v / np.linalg.norm(v), atol=1e-12)
 
 
+def encode_out_of_place(w, b, x, q, d):
+    """The batch encoder with a fresh array at each step: the bits the in-place one must give."""
+    tok = (x @ w.T + b).reshape(x.shape[0], q, d)
+    rn = np.sqrt(np.einsum("bqd,bqd->bq", tok, tok))
+    f = tok / rn[:, :, None]
+    vmean = f.sum(axis=1) / q
+    vn = np.sqrt(np.einsum("bd,bd->b", vmean, vmean))
+    return f, rn, vn, vmean / vn[:, None]
+
+
+@pytest.mark.parametrize("rows", [1, 32, 3584])
+def test_encode_in_place_equals_out_of_place(rows):
+    # the reference shapes: Q 4, D 16, composed inputs of 2 x 16
+    params = T.init_params(16, 4, 16, seed=rows)
+    args = (params.w_c, params.b_c, np.random.default_rng(rows).standard_normal((rows, 32)))
+    before = [a.copy() for a in args]
+    got = T._encode_batch(*args, 4, 16)
+    assert [a.tobytes() for a in args] == [a.tobytes() for a in before]
+    want = encode_out_of_place(*before, 4, 16)
+    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+
+
 def test_encode_dimension_mismatch():
     params = T.init_params(6, 2, 4, seed=0)
     with pytest.raises(DimensionMismatch):
@@ -349,6 +371,13 @@ def tiny_dataset(sigma=0.0, n=24, seed=5):
         partial_fraction=0.5, unmentioned_noise_std=0.05, seed=seed,
     )
     return synth.generate(cfg)
+
+
+def test_train_zero_width_vectors_raise():
+    records = [synth.TripletRecord(i, np.zeros(0), np.zeros(0), i, "clean") for i in range(4)]
+    gallery = [synth.GalleryEntry(i, np.zeros(0)) for i in range(4)]
+    with pytest.raises(DimensionMismatch, match="input width 0"):
+        T.train(records, gallery, small_cfg(epochs=1))
 
 
 def test_train_zero_epochs_returns_init():
