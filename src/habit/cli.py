@@ -203,9 +203,9 @@ def detect_masks(params, records, gallery, tcfg):
         idx = np.array([i for i in batches if len(i) == size])
         rows = idx.reshape(-1)
         x_c = np.concatenate([refs[rows], mods[rows]], axis=1)
-        f_c, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
-        f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[rows], *shape)
-        f_c, f_t, q, t = (a.reshape(idx.shape + a.shape[1:]) for a in (f_c, f_t, q, t))
+        f, _, _, pooled = train_mod._encode_batch(
+            [(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, tgts[rows])], *shape)
+        f_c, f_t, q, t = (a.reshape(idx.shape + a.shape[1:]) for a in (*f, *pooled))
         for lo in range(0, len(idx), DETECT_CHUNK):
             s = slice(lo, lo + DETECT_CHUNK)
             est = train_mod.estimate(f_c[s], f_t[s], q[s] @ np.swapaxes(t[s], -1, -2), tcfg)

@@ -11,11 +11,13 @@ returns the term's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateBatch, DimensionMismatch, DomainError
 from .kernels import dbscan_noise_flags
+from .mke import row_softmax_parts
 
 
 @dataclass
@@ -40,7 +42,7 @@ def dbscan_1d(values, eps: float, min_pts: int) -> frozenset:
     """Noise-point indices of textbook DBSCAN over 1-D values."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     flags = dbscan_noise_flags(v, float(eps), int(min_pts))
-    return frozenset(int(i) for i in np.flatnonzero(flags))
+    return frozenset(np.flatnonzero(flags).tolist())
 
 
 def chrono_mask(current, previous, b: int) -> np.ndarray:
@@ -57,22 +59,21 @@ def chrono_mask(current, previous, b: int) -> np.ndarray:
 
 
 def _row_softmax(s, tau):
-    z = s / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    _, e, sums = row_softmax_parts(s, tau)
+    e /= sums
+    return e
 
 
-def _kl_term(s_now, s_prev, m_now, m_prev, tau):
-    """KL consistency and its gradient w.r.t. s_now; s_prev is a constant."""
+def _kl_term(p_now, s_prev, m_now, m_prev, tau):
+    """KL consistency and its gradient w.r.t. s_now, from p_now = `_row_softmax(s_now, tau)`
+    (row-wise, so its kept rows are their own softmax's bits); s_prev is a constant."""
     keep = (m_now > 0) & (m_prev > 0)
     n_keep = int(keep.sum())
-    g = np.zeros_like(s_now)
+    g = np.zeros_like(p_now)
     if n_keep == 0:
         return 0.0, g
-    p = _row_softmax(s_now[keep], tau)
-    q = _row_softmax(s_prev[keep], tau)
-    log_ratio = np.log(p) - np.log(q)
+    p = p_now[keep]
+    log_ratio = np.log(p) - np.log(_row_softmax(s_prev[keep], tau))
     kl_rows = np.sum(p * log_ratio, axis=1)
     g[keep] = p * (log_ratio - kl_rows[:, None]) / (tau * n_keep)
     return float(kl_rows.sum() / n_keep), g  # np.mean's sum and division
@@ -88,7 +89,7 @@ def kl_consistency(sim_now, sim_prev, mask_now, mask_prev, tau: float) -> float:
         raise DimensionMismatch("similarity/mask shapes disagree")
     if m_now.shape != m_prev.shape:
         raise DimensionMismatch("mask lengths disagree")
-    return _kl_term(s_now, s_prev, m_now, m_prev, tau)[0]
+    return _kl_term(_row_softmax(s_now, tau), s_prev, m_now, m_prev, tau)[0]
 
 
 def dynamic_margin(e, m_base: float):
@@ -112,7 +113,8 @@ def _soft_term(sim, estimates, mask, m_base):
     """
     b = sim.shape[0]
     rows = np.arange(b)
-    neg = np.where(np.eye(b, dtype=bool), -np.inf, sim)
+    neg = sim.copy()
+    neg[rows, rows] = -np.inf
     j = neg.argmax(axis=1)
     hinge = dynamic_margin(estimates, m_base) + neg[rows, j] - sim[rows, rows]
     hinge = np.where(mask == 0.0, 0.0, np.maximum(hinge, 0.0))
@@ -134,11 +136,18 @@ def soft_margin_loss(sim, estimates, mask, m_base: float) -> float:
     return _soft_term(s, e, m, m_base)[0]
 
 
-def _rank_term(sim, mask, tau):
-    """Robust contrastive loss and its gradient w.r.t. sim."""
-    b = sim.shape[0]
-    p = _row_softmax(sim, tau)
+@lru_cache
+def _off_diagonal(b):
+    """The read-only (b, b) mask of the off-diagonal cells."""
     off = ~np.eye(b, dtype=bool)
+    off.flags.writeable = False
+    return off
+
+
+def _rank_term(p, mask, tau):
+    """Robust contrastive loss and its gradient w.r.t. sim, from p = `_row_softmax(sim, tau)`."""
+    b = p.shape[0]
+    off = _off_diagonal(b)
     per_row = -np.log1p(-p[off].reshape(b, b - 1)).sum(axis=1) / (b - 1)
     ratio = np.where(off, p / (1.0 - p), 0.0)
     g = (ratio - p * ratio.sum(axis=1)[:, None]) / (tau * (b - 1))
@@ -154,7 +163,7 @@ def robust_contrastive_loss(sim, mask, tau: float) -> float:
         raise DegenerateBatch("robust contrastive loss needs B >= 2")
     if s.shape != (b, b) or m.shape[0] != b:
         raise DimensionMismatch("similarity/mask shapes disagree")
-    return _rank_term(s, m, tau)[0]
+    return _rank_term(_row_softmax(s, tau), m, tau)[0]
 
 
 def total_objective(rank, kl, soft, kappa, gamma) -> LossBreakdown:

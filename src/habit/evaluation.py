@@ -26,12 +26,12 @@ class DetectionReport:
 
 def pooled_queries(params: EncoderParams, refs, mods):
     x = np.concatenate([np.asarray(refs, float), np.asarray(mods, float)], axis=1)
-    return _encode_batch(params.w_c, params.b_c, x, params.q_tokens, params.dim)[3]
+    return _encode_batch([(params.w_c, params.b_c, x)], params.q_tokens, params.dim)[3][0]
 
 
 def pooled_targets(params: EncoderParams, vecs):
     v = np.asarray(vecs, dtype=np.float64)
-    return _encode_batch(params.w_t, params.b_t, v, params.q_tokens, params.dim)[3]
+    return _encode_batch([(params.w_t, params.b_t, v)], params.q_tokens, params.dim)[3][0]
 
 
 def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
@@ -78,19 +78,27 @@ def _rank_rows(neg):
 
 
 def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
-    """Fraction of queries whose true target appears in the top K."""
+    """Fraction of queries whose true target appears in the top K.
+
+    A query's position is the first column holding its target. Column blocks, each twice
+    as wide as the last, are scanned over the queries not yet found, until all are.
+    """
     ranked = np.asarray(ranked_gallery_ids)
     true_ids = np.asarray(true_target_ids)
     if ranked.shape[0] != true_ids.shape[0]:
         raise LengthMismatch("one ranked list per query required")
-    hit = ranked == true_ids[:, None]
-    if not hit.shape[1]:  # empty lists: one column that holds no hit
-        hit = np.zeros((hit.shape[0], 1), dtype=bool)
-    # one scan of the hit matrix: each row's first hit, or 0 in a row with none
-    positions = hit.argmax(axis=1)
-    found = hit[np.arange(hit.shape[0]), positions]
-    if not found.all():
-        i = int(np.argmin(found))
+    positions = np.zeros(ranked.shape[0], dtype=np.intp)
+    todo = np.arange(ranked.shape[0])  # ascending: todo[0] is the first missing query
+    lo, width = 0, 64  # the first block's columns
+    while todo.size and lo < ranked.shape[1]:
+        hit = ranked[todo, lo : lo + width] == true_ids[todo, None]
+        first = hit.argmax(axis=1)  # a row's first hit, or 0 in a row with none
+        found = hit[np.arange(todo.size), first]
+        positions[todo[found]] = lo + first[found]
+        todo = todo[~found]
+        lo, width = lo + width, 2 * width
+    if todo.size:
+        i = int(todo[0])
         raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
     recall = {int(k): float(np.mean(positions < k)) for k in ks}
     return RetrievalReport(recall_at=recall, n_queries=ranked.shape[0])

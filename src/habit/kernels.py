@@ -74,13 +74,22 @@ def _marginals(p):
 
 
 def _mutual_knowledge_numpy(fc, ft, tau):
-    logits = (fc @ np.swapaxes(ft, -1, -2)) / tau
-    cells = logits.shape[:-2] + (-1,)
-    p = np.exp(logits - logits.reshape(cells).max(axis=-1)[..., None, None])
+    # each step writes over the array the step before made: the bits of the
+    # out-of-place expressions, with fc and ft not written
+    p = fc @ np.swapaxes(ft, -1, -2)
+    p /= tau
+    cells = p.shape[:-2] + (-1,)
+    p -= p.reshape(cells).max(axis=-1)[..., None, None]
+    np.exp(p, out=p)
     p /= np.sort(p.reshape(cells), axis=-1).sum(axis=-1)[..., None, None]
     prow, pcol = _marginals(p)
-    terms = p * np.log(p / (prow[..., :, None] * pcol[..., None, :]))
-    return np.maximum(np.sort(terms.reshape(cells), axis=-1).sum(axis=-1), 0.0)
+    terms = np.multiply(prow[..., :, None], pcol[..., None, :])
+    np.divide(p, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= p
+    terms = terms.reshape(cells)
+    terms.sort(axis=-1)
+    return np.maximum(terms.sum(axis=-1), 0.0)
 
 
 mutual_knowledge_core = _mutual_knowledge_numpy

@@ -32,15 +32,23 @@ def mutual_knowledge(f_c, f_t, tau_mk: float) -> float:
     return float(mutual_knowledge_core(f_c, f_t, tau_mk))
 
 
-def select_standard(sim, tau: float) -> np.integer | np.ndarray:
+def row_softmax_parts(sim, tau: float):
+    """(z, e, sums) of the softmax of ``sim / tau`` over the last axis: z is
+    ``sim / tau`` minus each row's max, e = exp(z), and ``e / sums`` the softmax."""
+    z = np.asarray(sim, dtype=np.float64) / tau
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return z, e, e.sum(axis=-1, keepdims=True)
+
+
+def select_standard(sim, tau: float, parts=None) -> np.integer | np.ndarray:
     """Index of the batch row with the lowest diagonal InfoNCE loss.
 
     Ties break to the lowest index. A (..., B, B) stack gives each batch's own.
+    `parts` is `row_softmax_parts(sim, tau)` when the caller already has it.
     """
-    s = np.asarray(sim, dtype=np.float64) / tau
-    s = s - s.max(axis=-1, keepdims=True)
-    log_probs = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
-    losses = -np.diagonal(log_probs, axis1=-2, axis2=-1)
+    z, _, sums = row_softmax_parts(sim, tau) if parts is None else parts
+    losses = -(np.diagonal(z, axis1=-2, axis2=-1) - np.log(sums[..., 0]))
     return np.argmin(losses, axis=-1)
 
 
@@ -88,10 +96,15 @@ def estimate_batch(
     s = select_standard(sim, tau) if standard_index is None else standard_index
     # the standard of each batch: c[at] is (..., Q, D), mk[at] is (...)
     at = np.ix_(*map(np.arange, c.shape[:-3])) + (s,)
-    c_s, t_s = (np.repeat(x[at][..., None, :, :], b, axis=-3) for x in (c, t))
-    # pair slots: [c_i, t_i] | [c_i, t_s] | [c_s, t_i], for i = 0..B-1
-    left = np.concatenate([c, c, c_s], axis=-3)
-    right = np.concatenate([t, t_s, t], axis=-3)
+    # pair slots [c_i, t_i] | [c_i, t_s] | [c_s, t_i], i = 0..B-1, filled in place (Qc may differ from Qt)
+    lead = c.shape[:-3]
+    left = np.empty(lead + (3, b) + c.shape[-2:])
+    left[..., :2, :, :, :] = c[..., None, :, :, :]
+    left[..., 2, :, :, :] = c[at][..., None, :, :]
+    right = np.empty(lead + (3, b) + t.shape[-2:])
+    right[..., ::2, :, :, :] = t[..., None, :, :, :]
+    right[..., 1, :, :, :] = t[at][..., None, :, :]
+    left, right = (x.reshape(lead + (3 * b,) + x.shape[-2:]) for x in (left, right))
     mk = mutual_knowledge_core(left, right, tau_mk)
     mk_std = mk[at][..., None]
     drift = np.abs(mk_std - mk)

@@ -22,7 +22,7 @@ from . import dpl, mke
 from .errors import ConfigError, DegenerateBatch, DimensionMismatch, FormatError, ZeroRow
 # normalize_rows is not called here. habitbench/run.py traces the features
 # layer by wrapping `train.normalize_rows`, and a traced run stops with an
-# AttributeError if the name is missing.
+# AttributeError if the name is missing (see the names above `estimate`).
 from .features import ROW_NORM_EPS, normalize_rows  # noqa: F401
 
 ABLATION_FLAGS = frozenset(
@@ -165,58 +165,73 @@ def init_params(d_in: int, q_tokens: int, dim: int, seed: int) -> EncoderParams:
     )
 
 
-def _encode_batch(w, b, x, q_tokens, dim):
-    """Batch affine encode + row normalize + mean pool, keeping backward intermediates.
+def _encode_batch(encoders, q_tokens, dim):
+    """Affine encode + row normalize + mean pool of a stack of encoders, keeping backward intermediates.
 
-    The one encoder of train, eval and detect: x is (B, d) with d == w.shape[1].
-    Returns (tokens, row_norms, pooled_norms, pooled_unit). Each step writes
-    into the array the step before it made: the bits of the out-of-place
-    expressions, without a fresh (B, Q*D) buffer per step. x, w and b are
-    not written.
+    The one encoder of train, eval and detect: one (w, b, x) per encoder,
+    each x (B, d) with d == w.shape[1], one B for all. Returns (tokens,
+    row_norms, pooled_norms, pooled_unit) with a leading encoder axis E. Each
+    `x @ w.T` is written into its slice of one (E, B, Q*D) buffer, over its
+    own rows (BLAS rounds by row count); the normalize and pool steps then
+    run once on the stack, each writing over the array the step before made.
+    Every encoder gets the bits of its own out-of-place call; no w, b or x is written.
     """
-    if x.shape[-1] != w.shape[1]:
-        raise DimensionMismatch(f"input width {x.shape[-1]} != encoder input width {w.shape[1]}")
-    f = x @ w.T
-    f += b
-    f = f.reshape(x.shape[0], q_tokens, dim)
-    rn = np.sqrt(np.einsum("bqd,bqd->bq", f, f))
+    n = encoders[0][2].shape[0]
+    f = np.empty((len(encoders), n, q_tokens * dim))
+    for out, (w, b, x) in zip(f, encoders):
+        if x.shape != (n, w.shape[1]):
+            raise DimensionMismatch(f"input {x.shape} != {n} rows of encoder input width {w.shape[1]}")
+        np.matmul(x, w.T, out=out)
+        out += b
+    f = f.reshape(len(encoders), n, q_tokens, dim)
+    rn = np.sqrt(np.einsum("ebqd,ebqd->ebq", f, f))
     if (rn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate token row during batch encoding")
-    f /= rn[:, :, None]
-    pooled = f.sum(axis=1)
-    pooled /= q_tokens  # f.mean(axis=1), without its overhead
-    vn = np.sqrt(np.einsum("bd,bd->b", pooled, pooled))
+    f /= rn[..., None]
+    pooled = f.sum(axis=2)
+    pooled /= q_tokens  # f.mean(axis=2), without its overhead
+    vn = np.sqrt(np.einsum("ebd,ebd->eb", pooled, pooled))
     if (vn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate pooled vector during batch encoding")
-    pooled /= vn[:, None]
+    pooled /= vn[..., None]
     return f, rn, vn, pooled
 
 
-def _backprop_encoder(d_pooled, f, rn, vn, pooled, x, q_tokens, dim):
-    """Gradient of sum(d_pooled * pooled) w.r.t. (w, b) of one encoder."""
-    # unit-normalize backward: dv = (I - pp^T) dp / |v|
-    dv = (d_pooled - pooled * np.einsum("bd,bd->b", pooled, d_pooled)[:, None]) / vn[:, None]
-    df = np.repeat(dv[:, None, :] / q_tokens, q_tokens, axis=1)
+def _backprop_encoder(d_pooled, f, rn, vn, pooled, xs, q_tokens, dim):
+    """One (dw, db) per encoder: the gradients of sum(d_pooled * pooled) for `_encode_batch`'s
+    stacks and inputs `xs`. The normalize backward runs once on the stack, and only
+    `dz.T @ x` per encoder. No argument is written."""
+    # unit-normalize backward: dv = (I - pp^T) dp / |v|, then the mean's 1/Q
+    dv = pooled * np.einsum("ebd,ebd->eb", pooled, d_pooled)[..., None]
+    np.subtract(d_pooled, dv, out=dv)
+    dv /= vn[..., None]
+    dv /= q_tokens
+    df = np.repeat(dv[:, :, None, :], q_tokens, axis=2)
     # per-row normalize backward
-    dz = (df - f * np.einsum("bqd,bqd->bq", f, df)[:, :, None]) / rn[:, :, None]
-    dz2 = dz.reshape(x.shape[0], q_tokens * dim)
-    return dz2.T @ x, dz2.sum(axis=0)
+    dz = f * np.einsum("ebqd,ebqd->ebq", f, df)[..., None]
+    np.subtract(df, dz, out=dz)
+    dz /= rn[..., None]
+    dz = dz.reshape(pooled.shape[:2] + (q_tokens * dim,))
+    db = dz.sum(axis=1)
+    return [(dz[i].T @ x, db[i]) for i, x in enumerate(xs)]
 
 
-# Each loss term returns (value, d_sim) in one pass. habitbench/run.py traces
-# the terms by wrapping these three names, so loss_and_grad calls them here.
+# habitbench/run.py times and traces a step by wrapping, at call time, `loss_and_grad`,
+# `adamw_step`, `_encode_batch`, `_backprop_encoder` and these three names (each term
+# returns (value, d_sim) in one pass), so a step must keep calling each by its name.
 _grad_rank, _grad_kl, _grad_soft = dpl._rank_term, dpl._kl_term, dpl._soft_term
 
 
-def estimate(f_c, f_t, sim, cfg, rng=None):
+def estimate(f_c, f_t, sim, cfg, rng=None, softmax=None):
     """Cleanliness of one batch or a (..., B) stack: the one rule of training and detect.
 
-    Under `no_sample` the standard is drawn from `rng`; with none (detect) `select_standard` picks it.
+    Under `no_sample` the standard is drawn from `rng`; with none (detect) `select_standard`
+    picks it, reading `softmax` = `mke.row_softmax_parts(sim, cfg.tau)` if given.
     """
     if "no_mke" in cfg.ablations:
         return np.ones(sim.shape[:-1])
     draw = rng is not None and "no_sample" in cfg.ablations
-    standard = int(rng.integers(sim.shape[-1])) if draw else None
+    standard = int(rng.integers(sim.shape[-1])) if draw else mke.select_standard(sim, cfg.tau, softmax)
     return mke.estimate_batch(f_c, f_t, sim, cfg.tau, cfg.tau_mk, standard_index=standard,
                               use_transition_rate="no_tr" not in cfg.ablations)
 
@@ -229,7 +244,10 @@ def loss_and_grad(
 
     Returns (LossBreakdown, grads dict keyed like params.arrays(),
     estimates, mask, similarity, outliers). `memory` is read-only here;
-    the caller decides when to refresh it.
+    the caller decides when to refresh it. `refs`, `mods` and `tgts` must
+    have one row per sample each (else DimensionMismatch). Both encoders run
+    as one stack, and one row softmax of sim / tau gives the standard sample
+    (`mke.select_standard`) and the rank and KL terms their p.
 
     Estimates, masks, margins, the standard-sample choice, and all cached
     history are constants with respect to the gradient. `frozen_estimates`
@@ -241,22 +259,25 @@ def loss_and_grad(
     mods = np.asarray(mods, dtype=np.float64)
     tgts = np.asarray(tgts, dtype=np.float64)
     b = refs.shape[0]
+    if mods.shape[0] != b or tgts.shape[0] != b:
+        raise DimensionMismatch(
+            f"batch rows disagree: {b} refs, {mods.shape[0]} mods, {tgts.shape[0]} targets")
     if b < 2:
         raise DegenerateBatch("training batch must have B >= 2")
     if rng is None and "no_sample" in cfg.ablations:
         raise ConfigError("no_sample ablation needs an rng")
 
     x_c = np.concatenate([refs, mods], axis=1)
-    f_c, rn_c, vn_c, q_pool = _encode_batch(
-        params.w_c, params.b_c, x_c, params.q_tokens, params.dim
+    f, rn, vn, pooled = _encode_batch(
+        [(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, tgts)], params.q_tokens, params.dim
     )
-    f_t, rn_t, vn_t, t_pool = _encode_batch(
-        params.w_t, params.b_t, tgts, params.q_tokens, params.dim
-    )
+    q_pool, t_pool = pooled
     sim = q_pool @ t_pool.T
+    softmax = mke.row_softmax_parts(sim, cfg.tau)
+    p = softmax[1] / softmax[2]
 
     # --- cleanliness estimation and chrono-synergia mask (stop-gradient) ---
-    estimates = estimate(f_c, f_t, sim, cfg, rng) if frozen_estimates is None else (
+    estimates = estimate(f[0], f[1], sim, cfg, rng, softmax) if frozen_estimates is None else (
         np.asarray(frozen_estimates, dtype=np.float64))
     outliers = dpl.dbscan_1d(estimates, cfg.dbscan_eps, cfg.min_pts())
     # no previous outliers mask nothing; without chrono-synergia an outlier now is masked now
@@ -274,13 +295,13 @@ def loss_and_grad(
     g_sim = np.zeros_like(sim)
     rank = kl = soft = 0.0
     if "no_rank" not in cfg.ablations:
-        rank, g = _grad_rank(sim, mask_rank, cfg.tau)
+        rank, g = _grad_rank(p, mask_rank, cfg.tau)
         g_sim += g
 
     # under no_history the memory stays empty, so there is no KL term
     if "no_kl" not in cfg.ablations and memory.prev_similarity is not None:
         prev_mask_kl = ones if "no_mask_kl" in cfg.ablations else memory.prev_mask
-        kl, g = _grad_kl(sim, memory.prev_similarity, mask_kl, prev_mask_kl, cfg.tau)
+        kl, g = _grad_kl(p, memory.prev_similarity, mask_kl, prev_mask_kl, cfg.tau)
         g_sim += cfg.kappa * g
 
     if "no_soft" not in cfg.ablations:
@@ -290,13 +311,11 @@ def loss_and_grad(
     breakdown = dpl.total_objective(rank, kl, soft, cfg.kappa, cfg.gamma)
 
     # --- backward: similarity -> pooled -> tokens -> affine params ---
-    d_qpool = g_sim @ t_pool
-    d_tpool = g_sim.T @ q_pool
-    dw_c, db_c = _backprop_encoder(
-        d_qpool, f_c, rn_c, vn_c, q_pool, x_c, params.q_tokens, params.dim
-    )
-    dw_t, db_t = _backprop_encoder(
-        d_tpool, f_t, rn_t, vn_t, t_pool, tgts, params.q_tokens, params.dim
+    d_pool = np.empty_like(pooled)
+    np.matmul(g_sim, t_pool, out=d_pool[0])
+    np.matmul(g_sim.T, q_pool, out=d_pool[1])
+    (dw_c, db_c), (dw_t, db_t) = _backprop_encoder(
+        d_pool, f, rn, vn, pooled, (x_c, tgts), params.q_tokens, params.dim
     )
     grads = {"w_c": dw_c, "b_c": db_c, "w_t": dw_t, "b_t": db_t}
     return breakdown, grads, estimates, mask, sim, outliers
@@ -330,23 +349,30 @@ def adamw_step(params, grads, state, lr, weight_decay, beta1=0.9, beta2=0.999, e
     Elementwise this is, in this order of operations,
     m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
     p -= lr*m_hat / (sqrt(v_hat) + eps);  p -= lr*weight_decay*p,
-    with m_hat = m / (1-beta1**t) and v_hat = v / (1-beta2**t).
+    with m_hat = m / (1-beta1**t) and v_hat = v / (1-beta2**t). It writes
+    `params.flat`, `state.m_flat` and `state.v_flat` in place, and its
+    temporaries into the flat copy of `grads` and one scratch vector, so
+    `grads` is not written.
     """
     state.step += 1
     t = state.step
     g = np.concatenate([grads[k] for k in PARAM_NAMES], axis=None)
     m, v, p = state.m_flat, state.v_flat, params.flat
+    tmp = np.multiply(g, 1 - beta1)
     m *= beta1
-    m += (1 - beta1) * g
+    m += tmp
+    np.multiply(g, 1 - beta2, out=tmp)
+    tmp *= g
     v *= beta2
-    v += (1 - beta2) * g * g
-    denom = np.sqrt(v / (1 - beta2**t))
+    v += tmp
+    denom = np.divide(v, 1 - beta2**t, out=tmp)
+    np.sqrt(denom, out=denom)
     denom += eps
-    update = m / (1 - beta1**t)
+    update = np.divide(m, 1 - beta1**t, out=g)
     update *= lr
     update /= denom
     p -= update
-    p -= lr * weight_decay * p
+    p -= np.multiply(p, lr * weight_decay, out=update)
 
 
 @dataclass

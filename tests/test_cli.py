@@ -222,8 +222,8 @@ def detect_masks_per_batch(params, records, gallery, tcfg):
     shape = (params.q_tokens, params.dim)
     for idx in batches:
         x_c = np.concatenate([refs[idx], mods[idx]], axis=1)
-        f_c, _, _, q = train_mod._encode_batch(params.w_c, params.b_c, x_c, *shape)
-        f_t, _, _, t = train_mod._encode_batch(params.w_t, params.b_t, tgts[idx], *shape)
+        (f_c,), _, _, (q,) = train_mod._encode_batch([(params.w_c, params.b_c, x_c)], *shape)
+        (f_t,), _, _, (t,) = train_mod._encode_batch([(params.w_t, params.b_t, tgts[idx])], *shape)
         est = mke.estimate_batch(f_c, f_t, q @ t.T, tcfg.tau, tcfg.tau_mk)
         outliers = dpl.dbscan_1d(est, tcfg.dbscan_eps, tcfg.min_pts())
         cleanliness[idx] = est

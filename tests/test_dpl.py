@@ -5,7 +5,7 @@ from test_acceptance import dbscan_oracle as acceptance_dbscan_oracle
 from test_acceptance import kl_oracle as acceptance_kl_oracle
 from test_acceptance import rank_oracle as acceptance_rank_oracle
 
-from habit import dpl
+from habit import dpl, mke
 from habit.errors import DegenerateBatch, DimensionMismatch, DomainError
 
 
@@ -264,19 +264,32 @@ def test_rank_and_kl_terms_value_and_gradient():
             m_now[0] = 0.0  # a masked row
             m_now[-1] = m_prev[-1] = 1.0  # a row kept by both masks
 
-            value, g = dpl._rank_term(s, m_now, 0.1)
+            value, g = dpl._rank_term(dpl._row_softmax(s, 0.1), m_now, 0.1)
             assert abs(value - acceptance_rank_oracle(s, m_now, 0.1)) < 1e-12
             fd = central_difference(lambda x: dpl.robust_contrastive_loss(x, m_now, 0.1), s)
             assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
-            value, g = dpl._kl_term(s, prev, m_now, m_prev, 0.1)
+            value, g = dpl._kl_term(dpl._row_softmax(s, 0.1), prev, m_now, m_prev, 0.1)
             assert abs(value - acceptance_kl_oracle(s, prev, m_now, m_prev, 0.1)) < 1e-12
             fd = central_difference(lambda x: dpl.kl_consistency(x, prev, m_now, m_prev, 0.1), s)
             assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
             # no row kept by both masks: no loss and no gradient
-            value, g = dpl._kl_term(s, prev, m_now, 1.0 - m_now, 0.1)
+            value, g = dpl._kl_term(dpl._row_softmax(s, 0.1), prev, m_now, 1.0 - m_now, 0.1)
             assert value == 0.0 and g.shape == s.shape and not g.any()
+
+
+def test_row_softmax_rows_equal_their_own_softmax():
+    # the KL term reads the kept rows of the whole batch's softmax, and
+    # training computes that softmax as e / sums from row_softmax_parts
+    rng = np.random.default_rng(14)
+    for b in (2, 5, 32):
+        s = rng.uniform(-1, 1, size=(b, b))
+        keep = rng.random(b) > 0.3
+        _, e, sums = mke.row_softmax_parts(s, 0.1)
+        p = dpl._row_softmax(s, 0.1)
+        assert p.tobytes() == (e / sums).tobytes()
+        assert p[keep].tobytes() == dpl._row_softmax(s[keep], 0.1).tobytes()
 
 
 def test_total_objective():

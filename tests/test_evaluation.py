@@ -50,6 +50,64 @@ def test_recall_missing_target():
         evaluation.recall_at_k(ranked, [2, 7, 1, 9], [1])
 
 
+def recall_full_matrix(ranked, true_ids, ks):
+    """recall_at_k over the whole hit matrix at once: the reference for its column-block scan."""
+    ranked, true_ids = np.asarray(ranked), np.asarray(true_ids)
+    hit = ranked == true_ids[:, None]
+    if not hit.shape[1]:
+        hit = np.zeros((hit.shape[0], 1), dtype=bool)
+    positions = hit.argmax(axis=1)
+    found = hit[np.arange(hit.shape[0]), positions]
+    if not found.all():
+        i = int(np.argmin(found))
+        raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
+    return {int(k): float(np.mean(positions < k)) for k in ks}
+
+
+def late_targets(n_queries=400, n_gallery=3000, seed=0):
+    # each row a permutation; targets drawn at every depth, most of them past the first block
+    rng = np.random.default_rng(seed)
+    ranked = np.argsort(rng.random((n_queries, n_gallery)), axis=1)
+    depth = rng.integers(0, n_gallery, size=n_queries)
+    depth[:4] = [0, 63, 64, n_gallery - 1]  # the first block's edges and the last column
+    return ranked, ranked[np.arange(n_queries), depth]
+
+
+def repeated_ids():
+    # ids repeat within a row; the first occurrence counts, before and after a block edge
+    ranked, _ = late_targets(50, 300, seed=1)
+    ranked[:, 120:] = ranked[:, 60:240]  # columns 60-239 again, 60 further on: twice in one block
+    true_ids = ranked[np.arange(50), np.random.default_rng(2).integers(0, 300, size=50)]
+    ranked[0, [5, 20, 70]] = true_ids[0]  # twice in the first block, and once past it
+    return ranked, true_ids
+
+
+@pytest.mark.parametrize("case", [late_targets, repeated_ids], ids=["late", "repeated"])
+def test_recall_block_scan_equals_full_matrix(case):
+    ranked, true_ids = case()
+    ks = (1, 5, 10, 50, 64, 65, 1000, ranked.shape[1])
+    assert evaluation.recall_at_k(ranked, true_ids, ks).recall_at == recall_full_matrix(ranked, true_ids, ks)
+
+
+def test_recall_block_scan_missing_target_in_late_row():
+    ranked, true_ids = late_targets()
+    true_ids[[350, 399]] = -1  # found in no column; 350 is the first such query
+    with pytest.raises(MissingTarget) as want:
+        recall_full_matrix(ranked, true_ids, (1,))
+    with pytest.raises(MissingTarget) as got:
+        evaluation.recall_at_k(ranked, true_ids, (1,))
+    assert str(got.value) == str(want.value) == "query 350: target -1 not in gallery list"
+
+
+def test_recall_empty_lists():
+    with pytest.raises(MissingTarget, match="query 0: target 3 "):
+        evaluation.recall_at_k(np.zeros((2, 0), dtype=int), [3, 4], (1,))
+    # no queries at all: nothing is missing, and there is no recall to average
+    with pytest.warns(RuntimeWarning):
+        report = evaluation.recall_at_k(np.zeros((0, 5), dtype=int), [], (1,))
+    assert report.n_queries == 0 and np.isnan(report.recall_at[1])
+
+
 def make_model(seed=0):
     params = T.init_params(8, 2, 6, seed)
     cfg = synth.GenConfig(

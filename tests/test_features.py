@@ -38,7 +38,7 @@ def pool(f):
     pooled output is the pooling step alone.
     """
     q, d = f.shape
-    _, _, _, pooled = _encode_batch(np.eye(q * d), np.zeros(q * d), f.reshape(1, q * d), q, d)
+    _, _, _, (pooled,) = _encode_batch([(np.eye(q * d), np.zeros(q * d), f.reshape(1, q * d))], q, d)
     return pooled[0]
 
 
@@ -57,4 +57,4 @@ def test_pool_matches_mean_then_normalize():
 def test_similarity_dimension_mismatch():
     # queries of width 4 against an encoder built for width 3
     with pytest.raises(DimensionMismatch):
-        _encode_batch(np.ones((2, 3)), np.zeros(2), np.ones((2, 4)), 1, 2)
+        _encode_batch([(np.ones((2, 3)), np.zeros(2), np.ones((2, 4)))], 1, 2)

@@ -41,6 +41,38 @@ def test_traced_names_resolve():
     assert habit.train.loss_and_grad.__module__ == "habit.train"
 
 
+# every span of a training step that the harness reports per layer
+STEP_SPANS = (
+    "train.loss_and_grad", "train.adamw_step", "train._encode_batch", "train._backprop_encoder",
+    "train._grad_rank", "train._grad_kl", "train._grad_soft", "mke.estimate_batch",
+    "kernels.mutual_knowledge_core", "dpl.dbscan_1d", "dpl.chrono_mask",
+)
+
+
+def test_traced_step_calls_every_training_span():
+    # a refactor that stops calling one of these names by its module
+    # attribute would silently read 0 in that per-layer metric
+    run = load_run()
+    tracer = run.Tracer()
+    run.install_spans(tracer, habit)
+    train = habit.train
+    cfg = train.TrainConfig(batch_size=4, q_tokens=2, dim=3)
+    params = train.init_params(5, 2, 3, seed=0)
+    opt = train.AdamWState(m={k: np.zeros_like(a) for k, a in params.arrays().items()},
+                           v={k: np.zeros_like(a) for k, a in params.arrays().items()})
+    refs, mods, tgts = np.random.default_rng(1).standard_normal((3, 4, 5))
+    rng = np.random.default_rng(2)
+    # a first pass fills the batch memory, so the traced step has a KL term
+    _, _, est, mask, sim, out = train.loss_and_grad(params, refs, mods, tgts, habit.dpl.BatchMemory(), cfg, rng)
+    memory = habit.dpl.BatchMemory(sim, est, out, mask)
+    with tracer.active(0):
+        _, grads, *_ = train.loss_and_grad(params, refs, mods, tgts, memory, cfg, rng)
+        train.adamw_step(params, grads, opt, cfg.learning_rate, cfg.weight_decay)
+    calls = tracer.summary([0])["calls"]
+    assert {name: calls[name] for name in STEP_SPANS if calls[name] < 1} == {}
+    assert tracer.count("dpl.dbscan_1d.points", [0]) == 4
+
+
 def test_timed_names_resolve():
     run = load_run()
     where = {

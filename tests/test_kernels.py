@@ -30,6 +30,16 @@ def test_mk_stack_equals_per_pair_calls(tau_mk):
     assert swapped_shapes > 0
 
 
+def test_mk_kernel_leaves_inputs_unwritten():
+    rng = np.random.default_rng(3)
+    for shape_c, shape_t in (((4, 16), (4, 16)), ((96, 4, 16), (96, 3, 16))):
+        fc, ft = (normalize_rows(rng.standard_normal((np.prod(s[:-1]), s[-1]))).reshape(s)
+                  for s in (shape_c, shape_t))
+        before = fc.copy(), ft.copy()
+        kernels.mutual_knowledge_core(fc, ft, 0.01)
+        assert fc.tobytes() == before[0].tobytes() and ft.tobytes() == before[1].tobytes()
+
+
 def test_marginals_equal_cumsum_last():
     # the kernel's marginals are the adds of cumsum's last slice, bit for bit,
     # also on a transposed stack, where qc != qt, and past numpy's 8-way

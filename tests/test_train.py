@@ -27,8 +27,8 @@ def small_cfg(**kw):
 
 def encode(w, b, x, q, d):
     """Tokens and pooled unit vectors of the one batch encoder."""
-    f, _, _, pooled = T._encode_batch(w, b, np.asarray(x, dtype=float), q, d)
-    return f, pooled
+    f, _, _, pooled = T._encode_batch([(w, b, np.asarray(x, dtype=float))], q, d)
+    return f[0], pooled[0]
 
 
 def test_encode_composed_degenerate_affine():
@@ -60,7 +60,7 @@ def test_encode_opposite_tokens_zero_row():
     w = np.zeros((4, 1))
     b = np.array([1.0, 0.0, -1.0, 0.0])
     with pytest.raises(ZeroRow):
-        T._encode_batch(w, b, np.ones((1, 1)), 2, 2)
+        T._encode_batch([(w, b, np.ones((1, 1)))], 2, 2)
 
 
 def test_encode_pool_permutation_invariant():
@@ -106,18 +106,99 @@ def test_encode_in_place_equals_out_of_place(rows):
     params = T.init_params(16, 4, 16, seed=rows)
     args = (params.w_c, params.b_c, np.random.default_rng(rows).standard_normal((rows, 32)))
     before = [a.copy() for a in args]
-    got = T._encode_batch(*args, 4, 16)
+    got = [a[0] for a in T._encode_batch([args], 4, 16)]
     assert [a.tobytes() for a in args] == [a.tobytes() for a in before]
     want = encode_out_of_place(*before, 4, 16)
     assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
 
 
+def backprop_out_of_place(d_pooled, f, rn, vn, pooled, x, q, d):
+    """One encoder's backward pass with a fresh array at each step: the bits the stacked one must give."""
+    dv = (d_pooled - pooled * np.einsum("bd,bd->b", pooled, d_pooled)[:, None]) / vn[:, None]
+    df = np.repeat(dv[:, None, :] / q, q, axis=1)
+    dz = (df - f * np.einsum("bqd,bqd->bq", f, df)[:, :, None]) / rn[:, :, None]
+    dz2 = dz.reshape(x.shape[0], q * d)
+    return dz2.T @ x, dz2.sum(axis=0)
+
+
+def as_bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+# both encoders share Q and D, so composed and target token counts cannot differ here
+@pytest.mark.parametrize("q, d", [(4, 16), (3, 5)])
+@pytest.mark.parametrize("rows", [1, 2, 13, 32])
+def test_encoder_stack_equals_per_encoder_expressions(rows, q, d):
+    # the training pair: a composed encoder of input width 2 x 16 and a target one of 16
+    params = T.init_params(16, q, d, seed=rows)
+    rng = np.random.default_rng(rows)
+    x_c, x_t = rng.standard_normal((rows, 32)), rng.standard_normal((rows, 16))
+    d_pooled = rng.standard_normal((2, rows, d))
+    inputs = [params.flat, x_c, x_t, d_pooled]
+    before = [a.copy() for a in inputs]
+    stack = T._encode_batch([(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, x_t)], q, d)
+    stack_before = [a.copy() for a in stack]
+    grads = T._backprop_encoder(d_pooled, *stack, (x_c, x_t), q, d)
+    assert [a.tobytes() for a in inputs] == [a.tobytes() for a in before]
+    assert as_bits(stack) == as_bits(stack_before)
+    for i, (w, b, x) in enumerate([(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, x_t)]):
+        want = encode_out_of_place(w, b, x, q, d)
+        assert as_bits(a[i] for a in stack) == as_bits(want)
+        assert as_bits(grads[i]) == as_bits(backprop_out_of_place(d_pooled[i], *want, x, q, d))
+
+
 def test_encode_dimension_mismatch():
     params = T.init_params(6, 2, 4, seed=0)
     with pytest.raises(DimensionMismatch):
-        T._encode_batch(params.w_t, params.b_t, np.ones((3, 5)), 2, 4)
+        T._encode_batch([(params.w_t, params.b_t, np.ones((3, 5)))], 2, 4)
     with pytest.raises(DimensionMismatch):
-        T._encode_batch(params.w_c, params.b_c, np.ones((3, 6)), 2, 4)
+        T._encode_batch([(params.w_c, params.b_c, np.ones((3, 6)))], 2, 4)
+
+
+@pytest.mark.parametrize("rows, flags", [
+    ((4, 3, 4), ()),  # a short mods
+    ((4, 4, 5), ("no_mke",)),
+    ((4, 4, 5), ("no_mke", "no_soft", "no_rank")),  # no term would index past the 4 refs
+], ids=["short-mods", "long-tgts-no-mke", "long-tgts-no-terms"])
+def test_loss_and_grad_row_mismatch_raises(rows, flags):
+    rng = np.random.default_rng(0)
+    refs, mods, tgts = (rng.standard_normal((n, 6)) for n in rows)
+    params = T.init_params(6, 2, 4, seed=0)
+    with pytest.raises(DimensionMismatch, match="batch rows disagree"):
+        T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), small_cfg(ablations=flags), rng)
+
+
+def standard_out_of_place(sim, tau):
+    """The standard rule written out: the row with the lowest diagonal InfoNCE loss."""
+    s = sim / tau
+    s = s - s.max(axis=1, keepdims=True)
+    return int(np.argmin(-np.diagonal(s - np.log(np.exp(s).sum(axis=1, keepdims=True)))))
+
+
+def test_training_standard_equals_select_standard(monkeypatch):
+    # loss_and_grad passes estimate_batch the standard of its one shared row softmax
+    seen, estimate_batch = [], mke.estimate_batch
+
+    def spy(*args, standard_index=None, **kwargs):
+        seen.append(standard_index)
+        return estimate_batch(*args, standard_index=standard_index, **kwargs)
+
+    monkeypatch.setattr(mke, "estimate_batch", spy)
+    cfg = small_cfg()
+    for seed in range(5):
+        refs, mods, tgts = make_batch(seed)
+        params = T.init_params(6, 2, 4, seed=seed)
+        *_, sim, _ = T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), cfg, np.random.default_rng(0))
+        assert seen.pop() == mke.select_standard(sim, cfg.tau) == standard_out_of_place(sim, cfg.tau)
+    # tie rows, which no trained batch gives: the lowest index wins, as in select_standard
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((6, 2, 4))
+    f /= np.linalg.norm(f, axis=-1, keepdims=True)
+    tied = rng.uniform(-1, 1, size=(6, 6))
+    tied[2:] = tied[1]
+    for sim in (np.eye(6), np.ones((6, 6)), tied, tied.T):
+        T.estimate(f, f, sim, cfg, np.random.default_rng(0), mke.row_softmax_parts(sim, cfg.tau))
+        assert seen.pop() == mke.select_standard(sim, cfg.tau) == standard_out_of_place(sim, cfg.tau)
 
 
 def finite_diff_check(flags, seed=0, with_history=True, h=1e-5):
@@ -233,8 +314,8 @@ def test_no_tr_uses_raw_mk_differences():
     params = T.init_params(6, 2, 4, seed=30)
     cfg = small_cfg(batch_size=8, ablations={"no_tr"})
     _, _, est, _, sim, _ = T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), cfg)
-    f_c, *_ = T._encode_batch(params.w_c, params.b_c, np.concatenate([refs, mods], axis=1), 2, 4)
-    f_t, *_ = T._encode_batch(params.w_t, params.b_t, tgts, 2, 4)
+    (f_c, f_t), *_ = T._encode_batch(
+        [(params.w_c, params.b_c, np.concatenate([refs, mods], axis=1)), (params.w_t, params.b_t, tgts)], 2, 4)
     raw = mke.estimate_batch(f_c, f_t, sim, cfg.tau, cfg.tau_mk, use_transition_rate=False)
     assert (est == raw).all()
     assert (est != mke.estimate_batch(f_c, f_t, sim, cfg.tau, cfg.tau_mk)).any()
@@ -595,6 +676,18 @@ def test_adamw_step_equals_per_array_loop():
             assert (params.arrays()[key] == ref[key]).all(), (t, key)
             assert (state.m[key] == m[key]).all() and (state.v[key] == v[key]).all(), (t, key)
     assert state.step == 20
+
+
+def test_adamw_step_leaves_grads_unwritten():
+    params = T.init_params(5, 3, 4, seed=7)
+    state = T.AdamWState(m={k: np.zeros_like(a) for k, a in params.arrays().items()},
+                         v={k: np.zeros_like(a) for k, a in params.arrays().items()})
+    rng = np.random.default_rng(8)
+    grads = {k: rng.standard_normal(a.shape) for k, a in params.arrays().items()}
+    before = {k: g.copy() for k, g in grads.items()}
+    for _ in range(3):
+        T.adamw_step(params, grads, state, lr=3e-3, weight_decay=0.05)
+    assert all(grads[k].tobytes() == before[k].tobytes() for k in T.PARAM_NAMES)
 
 
 def assert_flat_views(params, opt=None):
