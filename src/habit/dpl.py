@@ -11,7 +11,6 @@ returns the term's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,8 +39,7 @@ class LossBreakdown:
 
 def dbscan_1d(values, eps: float, min_pts: int) -> frozenset:
     """Noise-point indices of textbook DBSCAN over 1-D values."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    flags = dbscan_noise_flags(v, float(eps), int(min_pts))
+    flags = dbscan_noise_flags(np.asarray(values, dtype=np.float64), eps, min_pts)
     return frozenset(np.flatnonzero(flags).tolist())
 
 
@@ -136,18 +134,10 @@ def soft_margin_loss(sim, estimates, mask, m_base: float) -> float:
     return _soft_term(s, e, m, m_base)[0]
 
 
-@lru_cache
-def _off_diagonal(b):
-    """The read-only (b, b) mask of the off-diagonal cells."""
-    off = ~np.eye(b, dtype=bool)
-    off.flags.writeable = False
-    return off
-
-
 def _rank_term(p, mask, tau):
     """Robust contrastive loss and its gradient w.r.t. sim, from p = `_row_softmax(sim, tau)`."""
     b = p.shape[0]
-    off = _off_diagonal(b)
+    off = ~np.eye(b, dtype=bool)
     per_row = -np.log1p(-p[off].reshape(b, b - 1)).sum(axis=1) / (b - 1)
     ratio = np.where(off, p / (1.0 - p), 0.0)
     g = (ratio - p * ratio.sum(axis=1)[:, None]) / (tau * (b - 1))

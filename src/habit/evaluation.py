@@ -128,20 +128,17 @@ def _draws(rng, n):
 
 def recall_subset(params, refs, mods, gallery_vecs, true_target_ids, subsets, ks=(1, 2, 3)):
     """R_sub@K over per-query restricted candidate lists, all of one length, one
-    per query (else LengthMismatch); ties rank in subset order."""
+    per query (else LengthMismatch), each holding its query's target (else
+    `recall_at_k`'s MissingTarget); ties rank in subset order."""
     true_ids = np.asarray(true_target_ids)
     if not len(subsets) or len(subsets) != len(true_ids) or len({len(s) for s in subsets}) > 1:
         raise LengthMismatch("one subset per query, all of one length, and a query at least required")
     subs = np.array(subsets)
-    found = (subs == true_ids[:, None]).any(axis=1)
-    if not found.all():
-        raise MissingTarget(f"query {int(np.argmin(found))}: target missing from its subset")
     q = pooled_queries(params, refs, mods)
     g = pooled_targets(params, np.asarray(gallery_vecs, float))
     scores = np.matmul(g[subs], q[:, :, None])[:, :, 0]
     ranked = np.take_along_axis(subs, np.argsort(-scores, axis=1, kind="stable"), axis=1)
-    pos = (ranked == true_ids[:, None]).argmax(axis=1)
-    return {int(k): int(np.sum(pos < k)) / len(subs) for k in ks}
+    return recall_at_k(ranked, true_ids, ks).recall_at
 
 
 def detection_metrics(mask, estimates, truth_labels) -> DetectionReport:

@@ -10,7 +10,6 @@ part of the delta (`partial`) or point at a wrong gallery entry
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -56,6 +55,8 @@ class GenConfig:
             raise ConfigError(f"partial_fraction={self.partial_fraction} outside [0, 1]")
         if self.unmentioned_noise_std < 0.0:
             raise ConfigError("unmentioned_noise_std must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -173,13 +174,8 @@ def split(records, fraction: float, seed: int):
     return train, test
 
 
-@functools.cache
-def _fmt_pattern(n):
-    return "[" + ", ".join(["%.17g"] * n) + "]"
-
-
 def _fmt(vec):
-    return _fmt_pattern(len(vec)) % tuple(vec.tolist())
+    return "[" + ", ".join(["%.17g"] * len(vec)) % tuple(vec.tolist()) + "]"
 
 
 def write_dataset(records, path):

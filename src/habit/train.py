@@ -117,7 +117,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         for name, low in (
             ("batch_size", 2), ("epochs", 0), ("q_tokens", 1), ("dim", 1),
-            ("kappa", 0), ("gamma", 0), ("weight_decay", 0), ("dbscan_min_pts", 0),
+            ("kappa", 0), ("gamma", 0), ("weight_decay", 0), ("dbscan_min_pts", 0), ("seed", 0),
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
@@ -197,10 +197,11 @@ def _encode_batch(encoders, q_tokens, dim):
     return f, rn, vn, pooled
 
 
-def _backprop_encoder(d_pooled, f, rn, vn, pooled, xs, q_tokens, dim):
+def _backprop_encoder(d_pooled, f, rn, vn, pooled, xs):
     """One (dw, db) per encoder: the gradients of sum(d_pooled * pooled) for `_encode_batch`'s
     stacks and inputs `xs`. The normalize backward runs once on the stack, and only
     `dz.T @ x` per encoder. No argument is written."""
+    q_tokens = f.shape[2]
     # unit-normalize backward: dv = (I - pp^T) dp / |v|, then the mean's 1/Q
     dv = pooled * np.einsum("ebd,ebd->eb", pooled, d_pooled)[..., None]
     np.subtract(d_pooled, dv, out=dv)
@@ -211,7 +212,7 @@ def _backprop_encoder(d_pooled, f, rn, vn, pooled, xs, q_tokens, dim):
     dz = f * np.einsum("ebqd,ebqd->ebq", f, df)[..., None]
     np.subtract(df, dz, out=dz)
     dz /= rn[..., None]
-    dz = dz.reshape(pooled.shape[:2] + (q_tokens * dim,))
+    dz = dz.reshape(pooled.shape[:2] + (-1,))
     db = dz.sum(axis=1)
     return [(dz[i].T @ x, db[i]) for i, x in enumerate(xs)]
 
@@ -314,9 +315,7 @@ def loss_and_grad(
     d_pool = np.empty_like(pooled)
     np.matmul(g_sim, t_pool, out=d_pool[0])
     np.matmul(g_sim.T, q_pool, out=d_pool[1])
-    (dw_c, db_c), (dw_t, db_t) = _backprop_encoder(
-        d_pool, f, rn, vn, pooled, (x_c, tgts), params.q_tokens, params.dim
-    )
+    (dw_c, db_c), (dw_t, db_t) = _backprop_encoder(d_pool, f, rn, vn, pooled, (x_c, tgts))
     grads = {"w_c": dw_c, "b_c": db_c, "w_t": dw_t, "b_t": db_t}
     return breakdown, grads, estimates, mask, sim, outliers
 
@@ -343,13 +342,17 @@ class AdamWState:
         return AdamWState(self.m, self.v, self.step)
 
 
-def adamw_step(params, grads, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+# AdamW's moment decay rates and denominator floor: Kingma & Ba's defaults, which every run uses
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adamw_step(params, grads, state, lr, weight_decay):
     """Decoupled-weight-decay adaptive-moment update, in place, in one pass.
 
     Elementwise this is, in this order of operations,
-    m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
-    p -= lr*m_hat / (sqrt(v_hat) + eps);  p -= lr*weight_decay*p,
-    with m_hat = m / (1-beta1**t) and v_hat = v / (1-beta2**t). It writes
+    m = BETA1*m + (1-BETA1)*g;  v = BETA2*v + (1-BETA2)*g*g;
+    p -= lr*m_hat / (sqrt(v_hat) + ADAM_EPS);  p -= lr*weight_decay*p,
+    with m_hat = m / (1-BETA1**t) and v_hat = v / (1-BETA2**t). It writes
     `params.flat`, `state.m_flat` and `state.v_flat` in place, and its
     temporaries into the flat copy of `grads` and one scratch vector, so
     `grads` is not written.
@@ -358,17 +361,17 @@ def adamw_step(params, grads, state, lr, weight_decay, beta1=0.9, beta2=0.999, e
     t = state.step
     g = np.concatenate([grads[k] for k in PARAM_NAMES], axis=None)
     m, v, p = state.m_flat, state.v_flat, params.flat
-    tmp = np.multiply(g, 1 - beta1)
-    m *= beta1
+    tmp = np.multiply(g, 1 - BETA1)
+    m *= BETA1
     m += tmp
-    np.multiply(g, 1 - beta2, out=tmp)
+    np.multiply(g, 1 - BETA2, out=tmp)
     tmp *= g
-    v *= beta2
+    v *= BETA2
     v += tmp
-    denom = np.divide(v, 1 - beta2**t, out=tmp)
+    denom = np.divide(v, 1 - BETA2**t, out=tmp)
     np.sqrt(denom, out=denom)
-    denom += eps
-    update = np.divide(m, 1 - beta1**t, out=g)
+    denom += ADAM_EPS
+    update = np.divide(m, 1 - BETA1**t, out=g)
     update *= lr
     update /= denom
     p -= update

@@ -89,8 +89,11 @@ def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
     ("train", "q_tokens", 0, "q_tokens must be >= 1"),
     ("split", "test_fraction", float("nan"), "split.test_fraction must be finite"),
     ("gen", "unmentioned_noise_std", float("inf"), "gen.unmentioned_noise_std must be finite"),
+    ("train", "seed", -1, "seed must be >= 0"),
+    ("split", "seed", -2, "split.seed must be >= 0"),
+    ("eval", "subset_seed", -1, "eval.subset_seed must be >= 0"),
 ], ids=["train.dbscan_eps-nan", "train.q_tokens-0", "split.test_fraction-nan",
-        "gen.unmentioned_noise_std-inf"])
+        "gen.unmentioned_noise_std-inf", "train.seed--1", "split.seed--2", "eval.subset_seed--1"])
 @pytest.mark.parametrize("command", ["gen", "eval"])
 def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section, key, value, says):
     # gen and eval read no train section and gen no split section, yet each
@@ -105,6 +108,51 @@ def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section,
     err = capsys.readouterr().err
     assert says in err and "Traceback" not in err
     assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["flag", "gen.seed"])
+def test_gen_negative_seed_exit_2(tmp_path, capsys, flag):
+    # numpy's generators take no negative seed
+    argv = ["--seed", "-1"] if flag else ["--config", write_config(tmp_path, {"gen": {"seed": -1}})]
+    out = tmp_path / "out"
+    assert cli.main(["gen", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, says", [
+    (b"\xff\xfe{\x00}\x00", "not valid JSON"),
+    (b'{"gen": {"seed": 1}', "not valid JSON"),
+    (b"[1, 2]", "config root must be a JSON object"),
+], ids=["utf-16", "invalid-json", "list-root"])
+def test_malformed_config_exit_4(tmp_path, capsys, text, says):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert cli.main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "format error" in err and says in err and "Traceback" not in err
+
+
+def _int_and_float_keys():
+    """(section, key, bad value) for every int key of the default config (-1) and every float key (NaN)."""
+    for section, values in cli._default_config().items():
+        for key, value in values.items():
+            if type(value) in (int, float):
+                yield section, key, -1 if type(value) is int else float("nan")
+
+
+def test_every_bad_number_exits_0_or_2(tmp_path, capsys):
+    # a key that any command reads must be refused with exit 2 or ignored, never crash
+    _, data, run = full_pipeline(tmp_path)
+    extra = {"gen": [], "train": ["--data", data], "eval": ["--data", data, "--ckpt", f"{run}/checkpoint.bin"]}
+    extra["detect"] = extra["eval"]
+    for i, (section, key, value) in enumerate(_int_and_float_keys()):
+        cfg_path = write_config(tmp_path, {section: {key: value}})
+        for command, args in extra.items():
+            code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / f"out{i}{command}"), *args])
+            err = capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in err, (command, section, key, value, err)
 
 
 def test_train_missing_data_exit_3(tmp_path):
@@ -291,6 +339,22 @@ def test_detect_corrupt_checkpoint_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("edit, says", [
+    (lambda blob: blob + b"\0", "trailing bytes"),
+    (lambda blob: blob[:8] + struct.pack("<Q", 3) + b"{x}", "corrupt checkpoint"),
+], ids=["trailing-bytes", "meta-not-json"])
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_checkpoint_bad_bytes_exit_4(tmp_path, capsys, command, edit, says):
+    cfg_path, data, run = full_pipeline(tmp_path)
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    ckpt.write_bytes(edit(ckpt.read_bytes()))
+    code = cli.main([command, "--config", cfg_path, "--ckpt", str(ckpt), "--data", data,
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "format error" in err and says in err and "Traceback" not in err
+
+
 def _rewrite_checkpoint(path, edit):
     """Rewrite a checkpoint file in place after `edit(meta, arrays)`; arrays are raw bytes."""
     blob = path.read_bytes()
@@ -398,6 +462,27 @@ def test_sweep_non_finite_value_exit_2(tmp_path, capsys, values):
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_bad_values_exit_2(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out), "--axis", "sigma",
+                     "--values", "0.1,half"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad --values" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_failed_value_is_a_row(tmp_path):
+    # a value whose run fails is reported in the summary; the sweep itself succeeds
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out), "--axis", "sigma",
+                     "--values", "1.5"])
+    assert code == 0
+    rows = list(csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()))
+    assert [(r["value"], r["r_at_10"], r["detection_f1"]) for r in rows] == [("1.5", "", "")]
+    assert rows[0]["status"].startswith("failed: ") and "sigma=1.5" in rows[0]["status"]
 
 
 def test_sweep_unknown_axis_exit_2(tmp_path):

@@ -138,7 +138,7 @@ def test_encoder_stack_equals_per_encoder_expressions(rows, q, d):
     before = [a.copy() for a in inputs]
     stack = T._encode_batch([(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, x_t)], q, d)
     stack_before = [a.copy() for a in stack]
-    grads = T._backprop_encoder(d_pooled, *stack, (x_c, x_t), q, d)
+    grads = T._backprop_encoder(d_pooled, *stack, (x_c, x_t))
     assert [a.tobytes() for a in inputs] == [a.tobytes() for a in before]
     assert as_bits(stack) == as_bits(stack_before)
     for i, (w, b, x) in enumerate([(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, x_t)]):
@@ -735,6 +735,12 @@ def test_train_config_validation():
                 small_cfg(**{key: bad}).validate()
     with pytest.raises(ConfigError):
         T.train([], [], small_cfg())
+
+
+@pytest.mark.parametrize("min_pts, batch_size, want", [(0, 32, 4), (0, 8, 2), (5, 32, 5), (1, 8, 1)])
+def test_min_pts_auto_or_set(min_pts, batch_size, want):
+    # 0 picks max(2, ceil(0.1 * B)); any other value is used as given
+    assert T.TrainConfig(dbscan_min_pts=min_pts, batch_size=batch_size).min_pts() == want
 
 
 def test_train_non_finite_loss_raises():
