@@ -73,36 +73,44 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     return cfg
 
 
-def gen_config(cfg: dict) -> synth.GenConfig:
-    g = synth.GenConfig(**cfg["gen"])
-    g.validate()
-    return g
+def validate_config(cfg: dict):
+    """The one check of every command: `cfg` as (GenConfig, TrainConfig), or ConfigError.
 
-
-def train_config(cfg: dict) -> train_mod.TrainConfig:
-    kw = dict(cfg["train"])
-    kw["ablations"] = frozenset(kw.get("ablations", []))
-    t = train_mod.TrainConfig(**kw)
-    t.validate()
-    return t
-
-
-def _resolved_json(cfg: dict) -> str:
-    """The strict JSON text of `cfg`; a NaN or infinity in any key is a config error."""
+    Every key must be strict JSON (no NaN or infinity), `gen` and `train` must
+    pass their `validate`, `split.seed` and `eval.subset_seed` must be >= 0,
+    `split.test_fraction` in (0, 1), `eval.subset_size` >= 1 and `eval.ks` a
+    non-empty list of integers >= 1. A config one command refuses, every command refuses.
+    """
     for name, section in cfg.items():
         for key, value in section.items():
             try:
                 json.dumps(value, allow_nan=False)
             except ValueError:
                 raise ConfigError(f"config key {name}.{key} must be finite, got {value!r}") from None
-    return json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    gcfg = synth.GenConfig(**cfg["gen"])
+    gcfg.validate()
+    ablations = cfg["train"]["ablations"]
+    if not all(isinstance(flag, str) for flag in ablations):
+        raise ConfigError(f"train.ablations must list flag names, got {ablations!r}")
+    tcfg = train_mod.TrainConfig(**dict(cfg["train"], ablations=frozenset(ablations)))
+    tcfg.validate()
+    split, ev = cfg["split"], cfg["eval"]
+    for name, value in (("split.seed", split["seed"]), ("eval.subset_seed", ev["subset_seed"])):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0")
+    if not 0.0 < split["test_fraction"] < 1.0:
+        raise ConfigError(f"split.test_fraction={split['test_fraction']} outside (0, 1)")
+    if ev["subset_size"] < 1:
+        raise ConfigError(f"eval.subset_size {ev['subset_size']}: a subset size must be >= 1")
+    if not ev["ks"] or not all(type(k) is int and k >= 1 for k in ev["ks"]):
+        raise ConfigError(f"eval.ks or --ks must list integers K >= 1, got {ev['ks']!r}")
+    return gcfg, tcfg
 
 
 def write_resolved(cfg: dict, out_dir: Path):
-    text = _resolved_json(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write(json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -113,7 +121,8 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _load_data(data_dir: Path):
+def _load_data(data_dir: Path, split: dict):
+    """The train and test splits of the records under `data_dir`, and its gallery."""
     ds = data_dir / "dataset.jsonl"
     gal = data_dir / "gallery.jsonl"
     if not ds.exists() or not gal.exists():
@@ -137,26 +146,25 @@ def _load_data(data_dir: Path):
         bad = np.flatnonzero(~np.isfinite(np.stack(vecs).reshape(len(vecs), -1)).all(axis=1))
         if bad.size:
             raise FloatingPointError(f"{data_dir}: {name} vector of id {items[bad[0]].id} is not finite")
-    return records, gallery
+    return (*synth.split(records, split["test_fraction"], split["seed"]), gallery)
 
 
-def _load_run(cfg: dict, ckpt_path: Path, data_dir: Path):
+def _load_run(tcfg, split: dict, ckpt_path: Path, data_dir: Path):
     """Checkpoint and data for eval and detect; the checkpoint must fit the config and the data."""
     ckpt = train_mod.load_checkpoint(ckpt_path)
-    train_mod.check_config(ckpt, train_config(cfg))
-    records, gallery = _load_data(data_dir)
+    train_mod.check_config(ckpt, tcfg)
+    train_records, test_records, gallery = _load_data(data_dir, split)
     width = gallery[0].vec.shape[0] if gallery else ckpt.params.d_in
     if width != ckpt.params.d_in:
         raise FormatError(
             f"{ckpt_path}: checkpoint input width {ckpt.params.d_in} != "
             f"vector length {width} of the data in {data_dir}"
         )
-    return ckpt, records, gallery
+    return ckpt, train_records, test_records, gallery
 
 
-def cmd_gen(cfg: dict, out_dir: Path) -> None:
-    g = gen_config(cfg)
-    records, gallery = synth.generate(g)
+def cmd_gen(cfg: dict, gcfg, out_dir: Path) -> None:
+    records, gallery = synth.generate(gcfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     synth.write_dataset(records, out_dir / "dataset.jsonl")
     synth.write_gallery(gallery, out_dir / "gallery.jsonl")
@@ -164,10 +172,8 @@ def cmd_gen(cfg: dict, out_dir: Path) -> None:
     log.info("wrote %d records / %d gallery entries to %s", len(records), len(gallery), out_dir)
 
 
-def cmd_train(cfg: dict, data_dir: Path, out_dir: Path) -> None:
-    records, gallery = _load_data(data_dir)
-    tcfg = train_config(cfg)
-    train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
+def cmd_train(cfg: dict, tcfg, data_dir: Path, out_dir: Path) -> None:
+    train_records, _, gallery = _load_data(data_dir, cfg["split"])
     ckpt, metrics = train_mod.train(train_records, gallery, tcfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_mod.save_checkpoint(ckpt, out_dir / "checkpoint.bin")
@@ -197,8 +203,9 @@ def detect_masks(params, records, gallery, tcfg):
     cleanliness = np.full(len(records), np.nan)
     mask = np.ones(len(records))
     shape = (params.q_tokens, params.dim)
-    # one stack per batch size: BLAS rounds the rows of a short tail batch
-    # differently when they are encoded with the full batches
+    # one stack per batch size: BLAS rounds the rows of a tail batch differently
+    # when they are encoded with the full batches if the tail is short (at most
+    # 1200 / (Q*D) rows at input width 32 or more, or one row; `_encode_batch`)
     for size in {len(idx) for idx in batches}:
         idx = np.array([i for i in batches if len(i) == size])
         rows = idx.reshape(-1)
@@ -215,13 +222,11 @@ def detect_masks(params, records, gallery, tcfg):
     return cleanliness, mask, covered
 
 
-def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> evaluation.DetectionReport:
-    ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
-    tcfg = train_config(cfg)
-    train_records, _ = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
-    if not train_records:
-        raise ConfigError("empty train split; nothing to detect")
+def cmd_detect(cfg: dict, tcfg, ckpt_path: Path, data_dir: Path, out_dir: Path) -> evaluation.DetectionReport:
+    ckpt, train_records, _, gallery = _load_run(tcfg, cfg["split"], ckpt_path, data_dir)
     cleanliness, mask, covered = detect_masks(ckpt.params, train_records, gallery, tcfg)
+    if not covered.any():
+        raise ConfigError("empty train split: no batch of 2 or more records to detect on")
     kept = [i for i in range(len(train_records)) if covered[i]]
     report = evaluation.detection_metrics(
         mask[kept], cleanliness[kept], [train_records[i].noise_label for i in kept]
@@ -236,14 +241,8 @@ def cmd_detect(cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path) -> eva
     return report
 
 
-def cmd_eval(
-    cfg: dict, ckpt_path: Path, data_dir: Path, out_dir: Path, ks=None
-) -> evaluation.RetrievalReport:
-    ks = list(ks) if ks is not None else list(cfg["eval"]["ks"])
-    if not ks or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in ks):
-        raise ConfigError(f"eval.ks or --ks must list integers K >= 1, got {ks!r}")
-    ckpt, records, gallery = _load_run(cfg, ckpt_path, data_dir)
-    _, test_records = synth.split(records, cfg["split"]["test_fraction"], cfg["split"]["seed"])
+def cmd_eval(cfg: dict, tcfg, ckpt_path: Path, data_dir: Path, out_dir: Path) -> evaluation.RetrievalReport:
+    ckpt, _, test_records, gallery = _load_run(tcfg, cfg["split"], ckpt_path, data_dir)
     if not test_records:
         raise ConfigError("empty test split; nothing to evaluate")
     refs = np.stack([r.ref_vec for r in test_records])
@@ -255,7 +254,7 @@ def cmd_eval(
     )
 
     ranked = evaluation.rank_gallery(ckpt.params, refs, mods, gal)
-    report = evaluation.recall_at_k(ranked, true_ids, ks)
+    report = evaluation.recall_at_k(ranked, true_ids, cfg["eval"]["ks"])
     sub = evaluation.recall_subset(ckpt.params, refs, mods, gal, true_ids, subsets)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,10 +286,11 @@ def cmd_sweep(cfg: dict, axis: str, values, out_dir: Path) -> None:
         run_cfg[section][key] = value
         run_dir = out_dir / name
         try:
-            cmd_gen(run_cfg, run_dir / "data")
-            cmd_train(run_cfg, run_dir / "data", run_dir)
-            retrieval = cmd_eval(run_cfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
-            detection = cmd_detect(run_cfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
+            gcfg, tcfg = validate_config(run_cfg)
+            cmd_gen(run_cfg, gcfg, run_dir / "data")
+            cmd_train(run_cfg, tcfg, run_dir / "data", run_dir)
+            retrieval = cmd_eval(run_cfg, tcfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
+            detection = cmd_detect(run_cfg, tcfg, run_dir / "checkpoint.bin", run_dir / "data", run_dir)
         except (HabitError, FloatingPointError) as exc:
             log.warning("sweep value %s failed: %s", value, exc)
             rows.append([axis, value, f"failed: {exc}", "", ""])
@@ -326,13 +326,11 @@ def build_parser():
     return parser
 
 
-def _parse_ks(text):
-    if text is None:
-        return None
+def _parse_list(text, kind, flag):
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --ks value {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def run(argv=None) -> int:
@@ -342,27 +340,20 @@ def run(argv=None) -> int:
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     cfg = load_config(args.config, args.seed)
-    # every command checks the train section, the split and eval seeds and that every key is finite
-    train_config(cfg)
-    for section, key in (("split", "seed"), ("eval", "subset_seed")):
-        if cfg[section][key] < 0:
-            raise ConfigError(f"{section}.{key} must be >= 0")
-    _resolved_json(cfg)
+    if getattr(args, "ks", None) is not None:
+        cfg["eval"]["ks"] = _parse_list(args.ks, int, "--ks")
+    gcfg, tcfg = validate_config(cfg)
     out = Path(args.out)
     if args.command == "gen":
-        cmd_gen(cfg, out)
+        cmd_gen(cfg, gcfg, out)
     elif args.command == "train":
-        cmd_train(cfg, Path(args.data), out)
+        cmd_train(cfg, tcfg, Path(args.data), out)
     elif args.command == "detect":
-        cmd_detect(cfg, Path(args.ckpt), Path(args.data), out)
+        cmd_detect(cfg, tcfg, Path(args.ckpt), Path(args.data), out)
     elif args.command == "eval":
-        cmd_eval(cfg, Path(args.ckpt), Path(args.data), out, _parse_ks(args.ks))
+        cmd_eval(cfg, tcfg, Path(args.ckpt), Path(args.data), out)
     else:  # sweep: the subparsers admit no other command
-        try:
-            values = [float(x) for x in args.values.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
-        cmd_sweep(cfg, args.axis, values, out)
+        cmd_sweep(cfg, args.axis, _parse_list(args.values, float, "--values"), out)
     return 0
 
 

@@ -172,9 +172,12 @@ def _encode_batch(encoders, q_tokens, dim):
     each x (B, d) with d == w.shape[1], one B for all. Returns (tokens,
     row_norms, pooled_norms, pooled_unit) with a leading encoder axis E. Each
     `x @ w.T` is written into its slice of one (E, B, Q*D) buffer, over its
-    own rows (BLAS rounds by row count); the normalize and pool steps then
-    run once on the stack, each writing over the array the step before made.
-    Every encoder gets the bits of its own out-of-place call; no w, b or x is written.
+    own rows, because BLAS rounds by row count: with numpy 2.4 on OpenBLAS
+    0.3.31 (Haswell kernels) a product of B x Q*D <= 1200 entries at input
+    width 32 or more, or of one row at any width, rounds a row differently
+    from a larger product. The normalize and pool steps then run once on the
+    stack, each writing over the array the step before made. Every encoder
+    gets the bits of its own out-of-place call; no w, b or x is written.
     """
     n = encoders[0][2].shape[0]
     f = np.empty((len(encoders), n, q_tokens * dim))
@@ -417,15 +420,13 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     raises FloatingPointError before the parameters move.
     """
     cfg.validate()
-    if not records:
-        raise ConfigError("empty dataset")
+    batches = fixed_partition(len(records), cfg.batch_size, cfg.seed)
+    if not batches:
+        raise ConfigError(f"empty dataset: {len(records)} records make no batch of 2 or more")
     d_in = records[0].ref_vec.shape[0]
     refs = np.stack([r.ref_vec for r in records])
     mods = np.stack([r.mod_vec for r in records])
-    gal = np.stack([g.vec for g in gallery])
-    tgts = gal[[r.target_id for r in records]]
-
-    batches = fixed_partition(len(records), cfg.batch_size, cfg.seed)
+    tgts = np.array([gallery[r.target_id].vec for r in records])
     rng = np.random.default_rng(cfg.seed + 1)
     if resume is not None:
         check_config(resume, cfg)
@@ -514,8 +515,8 @@ def load_checkpoint(path) -> Checkpoint:
     Beyond the byte layout, the structure must hold together: every array
     is present, the integer fields are integers, each parameter's shape
     agrees with q_tokens, dim and the input width, each AdamW moment has its
-    parameter's shape (the flat packing relies on that), and outliers are
-    stored only for batches below n_memories.
+    parameter's shape (the flat packing relies on that), outliers are
+    stored only for batches below n_memories, and every array is finite.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -540,6 +541,8 @@ def load_checkpoint(path) -> Checkpoint:
             shape = tuple(meta["shapes"][key])
             blob = take(struct.unpack("<Q", take(8))[0])
             arrays[key] = np.frombuffer(blob, dtype=np.float64).reshape(shape).copy()
+            if not np.isfinite(arrays[key]).all():
+                raise FormatError(f"{path}: array {key!r} is not finite")
         if off != len(data):
             raise FormatError(f"{path}: trailing bytes")
         return _checkpoint_from(path, meta, arrays, rng_state)

@@ -92,22 +92,32 @@ def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
     ("train", "seed", -1, "seed must be >= 0"),
     ("split", "seed", -2, "split.seed must be >= 0"),
     ("eval", "subset_seed", -1, "eval.subset_seed must be >= 0"),
+    ("gen", "n_triplets", -1, "n_triplets must be >= 1"),
+    ("split", "test_fraction", 1.5, "split.test_fraction=1.5 outside (0, 1)"),
+    ("eval", "subset_size", 0, "subset size must be >= 1"),
+    ("eval", "ks", [0], "eval.ks or --ks must list integers K >= 1"),
+    ("train", "ablations", [["no_kl"]], "train.ablations must list flag names"),
+    ("train", "ablations", [1, "no_kl"], "train.ablations must list flag names"),
 ], ids=["train.dbscan_eps-nan", "train.q_tokens-0", "split.test_fraction-nan",
-        "gen.unmentioned_noise_std-inf", "train.seed--1", "split.seed--2", "eval.subset_seed--1"])
-@pytest.mark.parametrize("command", ["gen", "eval"])
+        "gen.unmentioned_noise_std-inf", "train.seed--1", "split.seed--2", "eval.subset_seed--1",
+        "gen.n_triplets--1", "split.test_fraction-1.5", "eval.subset_size-0", "eval.ks-0",
+        "train.ablations-list", "train.ablations-int"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "detect"])
 def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section, key, value, says):
-    # gen and eval read no train section and gen no split section, yet each
-    # refuses the whole config before it writes a resolved_config.json
+    # one check refuses the whole config for every command, sections it does
+    # not read included, before it reads data or writes a file
     _, data, run = full_pipeline(tmp_path)
     cfg_path = write_config(tmp_path, {section: {key: value}})
     out = tmp_path / "out"
     argv = [command, "--config", cfg_path, "--out", str(out)]
-    if command == "eval":
-        argv += ["--data", data, "--ckpt", f"{run}/checkpoint.bin"]
+    if command != "gen":
+        argv += ["--data", data]
+    if command in ("eval", "detect"):
+        argv += ["--ckpt", f"{run}/checkpoint.bin"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert says in err and "Traceback" not in err
-    assert not (out / "resolved_config.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [True, False], ids=["flag", "gen.seed"])
@@ -142,8 +152,8 @@ def _int_and_float_keys():
                 yield section, key, -1 if type(value) is int else float("nan")
 
 
-def test_every_bad_number_exits_0_or_2(tmp_path, capsys):
-    # a key that any command reads must be refused with exit 2 or ignored, never crash
+def test_every_bad_number_exits_2(tmp_path, capsys):
+    # a bad key is refused with exit 2 by every command, whether it reads the key or not
     _, data, run = full_pipeline(tmp_path)
     extra = {"gen": [], "train": ["--data", data], "eval": ["--data", data, "--ckpt", f"{run}/checkpoint.bin"]}
     extra["detect"] = extra["eval"]
@@ -152,7 +162,7 @@ def test_every_bad_number_exits_0_or_2(tmp_path, capsys):
         for command, args in extra.items():
             code = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / f"out{i}{command}"), *args])
             err = capsys.readouterr().err
-            assert code in (0, 2) and "Traceback" not in err, (command, section, key, value, err)
+            assert code == 2 and "Traceback" not in err, (command, section, key, value, err)
 
 
 def test_train_missing_data_exit_3(tmp_path):
@@ -220,7 +230,8 @@ def test_eval_reports_recall(tmp_path):
 ], ids=["flag-two", "flag-0", "flag-empty", "config-a", "config-1.5", "config-true", "config-empty"])
 def test_eval_bad_ks_exit_2(tmp_path, capsys, config_ks, flag_ks):
     # eval.ks or --ks must list at least one K, each an int >= 1; a float or a bool is not one
-    cfg_path, data, run = full_pipeline(tmp_path, {"eval": {"ks": config_ks}})
+    _, data, run = full_pipeline(tmp_path)
+    cfg_path = write_config(tmp_path, {"eval": {"ks": config_ks}})
     argv = ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data,
             "--out", str(tmp_path / "e")]
     assert cli.main(argv + (["--ks", flag_ks] if flag_ks else [])) == 2
@@ -231,7 +242,8 @@ def test_eval_bad_ks_exit_2(tmp_path, capsys, config_ks, flag_ks):
 def test_eval_subset_size_bounds(tmp_path, capsys, size, code):
     # a subset holds the target plus size - 1 distinct distractors from the
     # 60-entry gallery; a size outside 1..60 is a config error, not a hang
-    cfg_path, data, run = full_pipeline(tmp_path, {"eval": {"subset_size": size}})
+    _, data, run = full_pipeline(tmp_path)
+    cfg_path = write_config(tmp_path, {"eval": {"subset_size": size}})
     out = str(tmp_path / "e")
     assert cli.main(
         ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data, "--out", out]
@@ -391,6 +403,11 @@ def _w_c_one_row_short(meta, arrays):
     arrays["w_c"] = arrays["w_c"][: (rows - 1) * cols * 8]
 
 
+def _nan_in_w_c(meta, arrays):
+    # training never saves a non-finite parameter
+    arrays["w_c"] = struct.pack("<d", float("nan")) + arrays["w_c"][8:]
+
+
 @pytest.mark.parametrize("edit, says", [
     (_drop_w_c, "missing array 'w_c'"),
     (_text_opt_step, "opt_step 'many' is not an integer"),
@@ -399,8 +416,9 @@ def _w_c_one_row_short(meta, arrays):
     (lambda meta, arrays: meta.update(opt_step=None), "opt_step None is not an integer"),
     (lambda meta, arrays: meta.update(n_memories=None), "n_memories None is not an integer"),
     (lambda meta, arrays: meta.update(outliers=None), "outliers None is not a batch id map"),
+    (_nan_in_w_c, "array 'w_c' is not finite"),
 ], ids=["missing-array", "text-opt-step", "outliers-past-n-memories", "w_c-row-short",
-        "null-opt-step", "null-n-memories", "null-outliers"])
+        "null-opt-step", "null-n-memories", "null-outliers", "nan-w_c"])
 @pytest.mark.parametrize("command", ["eval", "detect"])
 def test_malformed_checkpoint_structure_exit_4(tmp_path, capsys, command, edit, says):
     cfg_path, data, run = full_pipeline(tmp_path)
@@ -418,12 +436,21 @@ def test_empty_dataset_exit_2(tmp_path, capsys, command):
     # a valid gallery and checkpoint, but no records: nothing to train, evaluate or detect
     cfg_path, data, run = full_pipeline(tmp_path)
     (tmp_path / "data" / "dataset.jsonl").write_text("")
-    argv = [command, "--config", cfg_path, "--data", data, "--out", str(tmp_path / "out")]
-    if command != "train":
-        argv += ["--ckpt", f"{run}/checkpoint.bin"]
-    assert cli.main(argv) == 2
+    ckpt = [] if command == "train" else ["--ckpt", f"{run}/checkpoint.bin"]
+    assert cli.main([command, "--config", cfg_path, "--data", data, "--out", str(tmp_path / "out"), *ckpt]) == 2
     err = capsys.readouterr().err
     assert "empty" in err and "Traceback" not in err
+    if command == "eval":
+        return
+    # two clean records split one and one: the train split's one record makes no batch of 2
+    cfg_path = write_config(tmp_path, {"gen": {"n_triplets": 2, "sigma": 0.0}, "split": {"test_fraction": 0.5}})
+    tiny = str(tmp_path / "tiny")
+    assert cli.main(["gen", "--config", cfg_path, "--out", tiny]) == 0
+    out = tmp_path / "tiny_out"
+    assert cli.main([command, "--config", cfg_path, "--data", tiny, "--out", str(out), *ckpt]) == 2
+    err = capsys.readouterr().err
+    assert "empty" in err and "no batch of 2" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_sigma(tmp_path):
@@ -505,6 +532,18 @@ def test_load_config_seed_does_not_leak_into_later_calls():
     cfg = cli.load_config(None)
     seeds = [cfg["gen"]["seed"], cfg["train"]["seed"], cfg["split"]["seed"], cfg["eval"]["subset_seed"]]
     assert seeds == [0, 0, 0, 0]
+
+
+def test_resolved_config_reproduces_eval_ks_flag(tmp_path):
+    # --ks is merged into eval.ks, so the resolved config of an eval run reproduces its report
+    cfg_path, data, run = full_pipeline(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    ckpt = ["--ckpt", f"{run}/checkpoint.bin", "--data", data]
+    assert cli.main(["eval", "--config", cfg_path, *ckpt, "--out", str(first), "--ks", "1,2"]) == 0
+    assert json.loads((first / "resolved_config.json").read_text())["eval"]["ks"] == [1, 2]
+    assert cli.main(["eval", "--config", str(first / "resolved_config.json"), *ckpt, "--out", str(second)]) == 0
+    for name in ("resolved_config.json", "report.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_resolved_config_reproduces_gen(tmp_path):
