@@ -128,6 +128,11 @@ def _load_data(data_dir: Path, split: dict):
     if not ds.exists() or not gal.exists():
         raise FileNotFoundError(f"missing dataset files under {data_dir}")
     records, gallery = synth.read_dataset(ds), synth.read_gallery(gal)
+    # a record's target_id indexes the gallery by position, so each id must be its position
+    bad = next((n for n, g in enumerate(gallery) if g.id != n), None)
+    if bad is not None:
+        raise FormatError(f"{gal}: the entry at position {bad} has id {gallery[bad].id}: "
+                          f"gallery ids must be 0..{len(gallery) - 1} in file order")
     shapes = {g.vec.shape for g in gallery} | {v.shape for r in records for v in (r.ref_vec, r.mod_vec)}
     if len(shapes) > 1:
         raise FormatError(f"{data_dir}: ref, mod and gallery vectors differ in length: {sorted(shapes)}")
@@ -182,19 +187,19 @@ def cmd_train(cfg: dict, tcfg, data_dir: Path, out_dir: Path) -> None:
     log.info("trained %d epochs, checkpoint at %s", tcfg.epochs, out_dir / "checkpoint.bin")
 
 
-# Batches estimated at a time, for memory first. On 3584 rows (112 batches of
-# B 32, Q 4, D 16) detect alone peaks 11 MB above its inputs in chunks of 16 and
-# 24 MB as one stack, and a call takes about 22 against 27 ms (2 cores).
+# Batches encoded and estimated at a time, for memory first. On 3600 rows (B 32,
+# Q 4, D 16) detect allocates at most 4.5 MB in chunks of 16 and 22 MB as one
+# stack (tracemalloc), and a call takes about 18 against 23 ms (2 cores).
 DETECT_CHUNK = 16
 
 
 def detect_masks(params, records, gallery, tcfg):
-    """Inference-mode cleanliness + outlier mask, one encoded stack per batch size.
+    """Inference-mode cleanliness + outlier mask, in stacks of `DETECT_CHUNK` batches of one size.
 
-    Each stack is estimated and flagged in chunks of `DETECT_CHUNK` batches,
-    which give each batch the bits of its own call. The estimates follow
-    training's rule, `train.estimate`, with no rng: under `no_sample` detect
-    keeps `select_standard`. `params`, `records` and `gallery` are not written.
+    Each stack is encoded, estimated and flagged at once, giving every batch the
+    bits of its own call. The estimates follow training's rule, `train.estimate`,
+    with no rng: under `no_sample` detect keeps `select_standard`. `params`,
+    `records` and `gallery` are not written.
     """
     refs = np.array([r.ref_vec for r in records])
     mods = np.array([r.mod_vec for r in records])
@@ -203,21 +208,15 @@ def detect_masks(params, records, gallery, tcfg):
     cleanliness = np.full(len(records), np.nan)
     mask = np.ones(len(records))
     shape = (params.q_tokens, params.dim)
-    # one stack per batch size: BLAS rounds the rows of a tail batch differently
-    # when they are encoded with the full batches if the tail is short (at most
-    # 1200 / (Q*D) rows at input width 32 or more, or one row; `_encode_batch`)
     for size in {len(idx) for idx in batches}:
         idx = np.array([i for i in batches if len(i) == size])
-        rows = idx.reshape(-1)
-        x_c = np.concatenate([refs[rows], mods[rows]], axis=1)
-        f, _, _, pooled = train_mod._encode_batch(
-            [(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, tgts[rows])], *shape)
-        f_c, f_t, q, t = (a.reshape(idx.shape + a.shape[1:]) for a in (*f, *pooled))
-        for lo in range(0, len(idx), DETECT_CHUNK):
-            s = slice(lo, lo + DETECT_CHUNK)
-            est = train_mod.estimate(f_c[s], f_t[s], q[s] @ np.swapaxes(t[s], -1, -2), tcfg)
-            cleanliness[idx[s]] = est
-            mask[idx[s][dbscan_noise_flags(est, tcfg.dbscan_eps, tcfg.min_pts()) == 1]] = 0.0
+        for ix in np.split(idx, range(DETECT_CHUNK, len(idx), DETECT_CHUNK)):
+            x_c = np.concatenate([refs[ix], mods[ix]], axis=-1)
+            (f_c, f_t), _, _, (q, t) = train_mod._encode_batch(
+                [(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, tgts[ix])], *shape)
+            est = train_mod.estimate(f_c, f_t, q @ np.swapaxes(t, -1, -2), tcfg)
+            cleanliness[ix] = est
+            mask[ix[dbscan_noise_flags(est, tcfg.dbscan_eps, tcfg.min_pts()) == 1]] = 0.0
     covered = ~np.isnan(cleanliness)
     return cleanliness, mask, covered
 

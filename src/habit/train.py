@@ -168,32 +168,30 @@ def init_params(d_in: int, q_tokens: int, dim: int, seed: int) -> EncoderParams:
 def _encode_batch(encoders, q_tokens, dim):
     """Affine encode + row normalize + mean pool of a stack of encoders, keeping backward intermediates.
 
-    The one encoder of train, eval and detect: one (w, b, x) per encoder,
-    each x (B, d) with d == w.shape[1], one B for all. Returns (tokens,
-    row_norms, pooled_norms, pooled_unit) with a leading encoder axis E. Each
-    `x @ w.T` is written into its slice of one (E, B, Q*D) buffer, over its
-    own rows, because BLAS rounds by row count: with numpy 2.4 on OpenBLAS
-    0.3.31 (Haswell kernels) a product of B x Q*D <= 1200 entries at input
-    width 32 or more, or of one row at any width, rounds a row differently
-    from a larger product. The normalize and pool steps then run once on the
-    stack, each writing over the array the step before made. Every encoder
-    gets the bits of its own out-of-place call; no w, b or x is written.
+    The one encoder of train, eval and detect: one (w, b, x) per encoder, each
+    x a batch (B, d) or a stack of batches (..., B, d) with d == w.shape[1],
+    one leading shape for all. Returns (tokens, row_norms, pooled_norms,
+    pooled_unit) with a leading encoder axis E. No product ever spans two
+    batches: numpy runs each stacked `x @ w.T` as one product per batch, into
+    its slice of one buffer, so every batch gets the bits of its own 2-D call.
+    The normalize and pool steps then run once on the stack, in place. No w,
+    b or x is written.
     """
-    n = encoders[0][2].shape[0]
-    f = np.empty((len(encoders), n, q_tokens * dim))
+    lead = encoders[0][2].shape[:-1]
+    f = np.empty((len(encoders), *lead, q_tokens * dim))
     for out, (w, b, x) in zip(f, encoders):
-        if x.shape != (n, w.shape[1]):
-            raise DimensionMismatch(f"input {x.shape} != {n} rows of encoder input width {w.shape[1]}")
+        if x.shape != (*lead, w.shape[1]):
+            raise DimensionMismatch(f"input {x.shape} != {lead} rows of encoder input width {w.shape[1]}")
         np.matmul(x, w.T, out=out)
         out += b
-    f = f.reshape(len(encoders), n, q_tokens, dim)
-    rn = np.sqrt(np.einsum("ebqd,ebqd->ebq", f, f))
+    f = f.reshape(f.shape[:-1] + (q_tokens, dim))
+    rn = np.sqrt(np.einsum("...qd,...qd->...q", f, f))
     if (rn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate token row during batch encoding")
     f /= rn[..., None]
-    pooled = f.sum(axis=2)
-    pooled /= q_tokens  # f.mean(axis=2), without its overhead
-    vn = np.sqrt(np.einsum("ebd,ebd->eb", pooled, pooled))
+    pooled = f.sum(axis=-2)
+    pooled /= q_tokens  # f.mean(axis=-2), without its overhead
+    vn = np.sqrt(np.einsum("...d,...d->...", pooled, pooled))
     if (vn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate pooled vector during batch encoding")
     pooled /= vn[..., None]
@@ -516,7 +514,9 @@ def load_checkpoint(path) -> Checkpoint:
     is present, the integer fields are integers, each parameter's shape
     agrees with q_tokens, dim and the input width, each AdamW moment has its
     parameter's shape (the flat packing relies on that), outliers are
-    stored only for batches below n_memories, and every array is finite.
+    stored only for batches below n_memories, each memory holds a (B, B)
+    sim, a (B,) est and mask and distinct outliers in [0, B), and every
+    array is finite.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -591,11 +591,15 @@ def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
         bid = int(bid_str)
         if bid not in memories:
             raise FormatError(f"{path}: outliers for batch {bid_str} of {n_memories} batches")
-        mem = memories[bid]
-        mem.prev_outliers = frozenset(out)
-        mem.prev_similarity = array(f"mem.{bid}.sim")
-        mem.prev_estimates = array(f"mem.{bid}.est")
-        mem.prev_mask = array(f"mem.{bid}.mask")
+        sim, est, mask = array(f"mem.{bid}.sim"), array(f"mem.{bid}.est"), array(f"mem.{bid}.mask")
+        b = sim.shape[0] if sim.ndim else 0
+        if (sim.shape, est.shape, mask.shape) != ((b, b), (b,), (b,)):
+            raise FormatError(f"{path}: batch {bid} memory has sim {sim.shape}, est {est.shape} and "
+                              f"mask {mask.shape}, not (B, B), (B,) and (B,)")
+        if not (isinstance(out, list) and all(type(i) is int and 0 <= i < b for i in out)
+                and len(set(out)) == len(out)):
+            raise FormatError(f"{path}: batch {bid} outliers {out!r} are not distinct integers in [0, {b})")
+        memories[bid] = dpl.BatchMemory(sim, est, frozenset(out), mask)
     return Checkpoint(
         params=params,
         epoch=integer("epoch"),

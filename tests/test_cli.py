@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import struct
 from dataclasses import replace
@@ -271,6 +272,23 @@ def test_detect_outputs(tmp_path):
     ).read_bytes()
 
 
+# SHA-256 of the eval and detect outputs of the SMALL pipeline, as PINNED_RUNS
+# in tests/test_train.py pins the training files
+PINNED_OUTPUTS = {
+    ("eval", "report.csv"): "186c3eb92e0ebfd20f9d03add8d78a60cfc9c2c425713be3c57176e7c49336b7",
+    ("detect", "detection.csv"): "b62a70fd228dcd9c492def7f83eec4d7d59f70c6f26009f514f79c8d78407421",
+}
+
+
+@pytest.mark.parametrize("command, name", PINNED_OUTPUTS, ids=["eval", "detect"])
+def test_eval_and_detect_bytes_pinned(tmp_path, command, name):
+    cfg_path, data, run = full_pipeline(tmp_path)
+    out = tmp_path / command
+    argv = [command, "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_OUTPUTS[command, name]
+
+
 def detect_masks_per_batch(params, records, gallery, tcfg):
     """The per-batch loop `cli.detect_masks` stacks: the reference it must equal bit for bit."""
     refs = np.stack([r.ref_vec for r in records])
@@ -306,13 +324,18 @@ def as_bytes(outputs):
 
 @pytest.mark.parametrize("gen, train, sizes, dropped", [
     ({}, {}, {8: 5}, 0),  # SMALL: five batches of 8
-    # a 16-record tail, at the reference shapes, where BLAS can round it apart from taller products
+    # the reference shapes with a 16-record tail: two batch sizes, so two stacks
     ({"n_triplets": 80, "n_gallery": 90, "d_in": 16}, {"batch_size": 32, "q_tokens": 4, "dim": 16},
      {16: 1, 32: 2}, 0),
+    # batches of B x Q*D <= 1200 at input width 32, where one product over all
+    # of a stack's rows rounds each batch apart from its own product
+    ({"d_in": 16}, {"batch_size": 8, "q_tokens": 4, "dim": 16}, {8: 5}, 0),
+    ({"n_triplets": 64, "n_gallery": 70, "d_in": 32}, {"batch_size": 16, "q_tokens": 4, "dim": 8},
+     {16: 4}, 0),
     ({"n_triplets": 41}, {}, {8: 5}, 1),  # the 1-record sliver is dropped
     # 41 batches of 8 are estimated in chunks of 16, 16 and a partial 9
     ({"n_triplets": 328, "n_gallery": 340}, {}, {8: 2 * cli.DETECT_CHUNK + 9}, 0),
-], ids=["small", "tail16", "sliver1", "chunks"])
+], ids=["small", "tail16", "d16-b8-q4-dim16", "d32-b16-q4-dim8", "sliver1", "chunks"])
 def test_detect_masks_equals_per_batch_loop(gen, train, sizes, dropped):
     params, records, gallery, tcfg = trained(gen, train)
     batches = train_mod.fixed_partition(len(records), tcfg.batch_size, tcfg.seed)
@@ -408,6 +431,20 @@ def _nan_in_w_c(meta, arrays):
     arrays["w_c"] = struct.pack("<d", float("nan")) + arrays["w_c"][8:]
 
 
+def _sim_4x16(meta, arrays):
+    meta["shapes"]["mem.0.sim"] = [4, 16]  # the same 64 entries as batch 0's 8 x 8
+
+
+def _mask_one_short(meta, arrays):
+    (b,) = meta["shapes"]["mem.0.mask"]
+    meta["shapes"]["mem.0.mask"] = [b - 1]
+    arrays["mem.0.mask"] = arrays["mem.0.mask"][:-8]
+
+
+def _outliers_of_batch_0(*ids):
+    return lambda meta, arrays: meta["outliers"].update({"0": list(ids)})
+
+
 @pytest.mark.parametrize("edit, says", [
     (_drop_w_c, "missing array 'w_c'"),
     (_text_opt_step, "opt_step 'many' is not an integer"),
@@ -417,8 +454,19 @@ def _nan_in_w_c(meta, arrays):
     (lambda meta, arrays: meta.update(n_memories=None), "n_memories None is not an integer"),
     (lambda meta, arrays: meta.update(outliers=None), "outliers None is not a batch id map"),
     (_nan_in_w_c, "array 'w_c' is not finite"),
+    # a memory must fit its batch of B = 8, or a resume stops in numpy
+    (_sim_4x16, "batch 0 memory has sim (4, 16)"),
+    (_mask_one_short, "mask (7,), not (B, B), (B,) and (B,)"),
+    (_outliers_of_batch_0(-1), "batch 0 outliers [-1] are not distinct integers in [0, 8)"),
+    (_outliers_of_batch_0(99), "batch 0 outliers [99] are not"),
+    (_outliers_of_batch_0(True), "batch 0 outliers [True] are not"),
+    (_outliers_of_batch_0("a"), "batch 0 outliers ['a'] are not"),
+    (_outliers_of_batch_0(1.5), "batch 0 outliers [1.5] are not"),
+    (_outliers_of_batch_0(1, 1), "batch 0 outliers [1, 1] are not distinct"),
 ], ids=["missing-array", "text-opt-step", "outliers-past-n-memories", "w_c-row-short",
-        "null-opt-step", "null-n-memories", "null-outliers", "nan-w_c"])
+        "null-opt-step", "null-n-memories", "null-outliers", "nan-w_c", "sim-4x16", "mask-one-short",
+        "outlier-negative", "outlier-past-batch", "outlier-true", "outlier-text", "outlier-float",
+        "outlier-twice"])
 @pytest.mark.parametrize("command", ["eval", "detect"])
 def test_malformed_checkpoint_structure_exit_4(tmp_path, capsys, command, edit, says):
     cfg_path, data, run = full_pipeline(tmp_path)
@@ -607,6 +655,35 @@ def test_data_wrong_json_type_exit_4(tmp_path, capsys, command, file, edit):
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert f"format error: bad {file.split('.')[0]} file" in err and "Traceback" not in err
+
+
+def _swap_first_two(lines):
+    return [lines[1], lines[0], *lines[2:]]
+
+
+def _id_3_as_2(lines):
+    return [*lines[:3], json.dumps({**json.loads(lines[3]), "id": 2}), *lines[4:]]
+
+
+@pytest.mark.parametrize("edit, says", [
+    (_swap_first_two, "the entry at position 0 has id 1"),
+    (_id_3_as_2, "the entry at position 3 has id 2"),
+], ids=["swapped-lines", "duplicate-id"])
+@pytest.mark.parametrize("command", ["train", "eval", "detect"])
+def test_gallery_ids_out_of_order_exit_4(tmp_path, capsys, command, edit, says):
+    # a target_id is a gallery position: a reordered gallery would train and
+    # evaluate on the wrong entries with exit 0
+    cfg_path, data, run = full_pipeline(tmp_path)
+    path = tmp_path / "data" / "gallery.jsonl"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_path, "--data", data, "--out", str(out)]
+    if command != "train":
+        argv += ["--ckpt", f"{run}/checkpoint.bin"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert says in err and "gallery ids must be 0..59 in file order" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_target_outside_gallery_exit_4(tmp_path, capsys):

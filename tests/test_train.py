@@ -141,10 +141,18 @@ def test_encoder_stack_equals_per_encoder_expressions(rows, q, d):
     grads = T._backprop_encoder(d_pooled, *stack, (x_c, x_t))
     assert [a.tobytes() for a in inputs] == [a.tobytes() for a in before]
     assert as_bits(stack) == as_bits(stack_before)
-    for i, (w, b, x) in enumerate([(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, x_t)]):
+    encoders = [(params.w_c, params.b_c, x_c), (params.w_t, params.b_t, x_t)]
+    for i, (w, b, x) in enumerate(encoders):
         want = encode_out_of_place(w, b, x, q, d)
         assert as_bits(a[i] for a in stack) == as_bits(want)
         assert as_bits(grads[i]) == as_bits(backprop_out_of_place(d_pooled[i], *want, x, q, d))
+    # a stack of 3 batches: each gets the bits of its own 2-D call, also where one
+    # product over all 3 x rows would round apart (rows x Q*D <= 1200 at width 32, or 1 row)
+    xs = [rng.standard_normal((3, rows, 32)), rng.standard_normal((3, rows, 16))]
+    stacked = T._encode_batch([(w, b, x) for (w, b, _), x in zip(encoders, xs)], q, d)
+    for i, (w, b, _) in enumerate(encoders):
+        for k in range(3):
+            assert as_bits(a[i, k] for a in stacked) == as_bits(encode_out_of_place(w, b, xs[i][k], q, d))
 
 
 def test_encode_dimension_mismatch():
