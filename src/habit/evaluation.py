@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, MissingTarget
+from .errors import ConfigError, DomainError, LengthMismatch, MissingTarget
 from .train import EncoderParams, _encode_batch
 
 
@@ -29,9 +29,9 @@ def pooled_queries(params: EncoderParams, refs, mods):
     return _encode_batch([(params.w_c, params.b_c, x)], params.q_tokens, params.dim)[3][0]
 
 
-def pooled_targets(params: EncoderParams, vecs):
+def pooled_targets(params: EncoderParams, vecs, rows=None):
     v = np.asarray(vecs, dtype=np.float64)
-    return _encode_batch([(params.w_t, params.b_t, v)], params.q_tokens, params.dim)[3][0]
+    return _encode_batch([(params.w_t, params.b_t, v)], params.q_tokens, params.dim, rows)[3][0]
 
 
 def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
@@ -54,7 +54,7 @@ def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
     return _rank_rows(q @ -pooled_targets(params, gallery_vecs).T)
 
 
-_BLOCK = 8  # rows keyed and sorted at a time
+_BLOCK_BYTES = 320_000  # keys sorted at a time (a row at least): a block and its copy stay in L2
 
 
 def _rank_rows(neg):
@@ -63,8 +63,9 @@ def _rank_rows(neg):
     n, g = neg.shape
     low = (1 << max(1, (g - 1).bit_length())) - 1
     ids = np.arange(g)
-    for lo in range(0, n, _BLOCK):
-        x = neg[lo:lo + _BLOCK]
+    block = max(1, _BLOCK_BYTES // (8 * max(g, 1)))
+    for lo in range(0, n, block):
+        x = neg[lo:lo + block]
         orig, k = x.copy(), x.view(np.int64)
         k &= ~low
         k |= ids
@@ -85,8 +86,8 @@ def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
     """
     ranked = np.asarray(ranked_gallery_ids)
     true_ids = np.asarray(true_target_ids)
-    if ranked.shape[0] != true_ids.shape[0]:
-        raise LengthMismatch("one ranked list per query required")
+    if not ranked.shape[0] or ranked.shape[0] != true_ids.shape[0]:
+        raise LengthMismatch("one ranked list per query, and a query at least, required")
     positions = np.zeros(ranked.shape[0], dtype=np.intp)
     todo = np.arange(ranked.shape[0])  # ascending: todo[0] is the first missing query
     lo, width = 0, 64  # the first block's columns
@@ -129,14 +130,22 @@ def _draws(rng, n):
 def recall_subset(params, refs, mods, gallery_vecs, true_target_ids, subsets, ks=(1, 2, 3)):
     """R_sub@K over per-query restricted candidate lists, all of one length, one
     per query (else LengthMismatch), each holding its query's target (else
-    `recall_at_k`'s MissingTarget); ties rank in subset order."""
+    `recall_at_k`'s MissingTarget) and only gallery ids (else DomainError); ties
+    rank in subset order. Only the gallery rows the subsets name are normalized
+    and pooled, each with the bits of the full gallery's encoding."""
     true_ids = np.asarray(true_target_ids)
     if not len(subsets) or len(subsets) != len(true_ids) or len({len(s) for s in subsets}) > 1:
         raise LengthMismatch("one subset per query, all of one length, and a query at least required")
     subs = np.array(subsets)
+    gal = np.asarray(gallery_vecs, float)
+    bad = (subs < 0) | (subs >= gal.shape[0])
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DomainError(f"query {i}: subset id {subs[i, j]} is not a gallery id 0..{gal.shape[0] - 1}")
+    ids, inv = np.unique(subs, return_inverse=True)
     q = pooled_queries(params, refs, mods)
-    g = pooled_targets(params, np.asarray(gallery_vecs, float))
-    scores = np.matmul(g[subs], q[:, :, None])[:, :, 0]
+    g = pooled_targets(params, gal, ids)[inv.reshape(subs.shape)]
+    scores = np.matmul(g, q[:, :, None])[:, :, 0]
     ranked = np.take_along_axis(subs, np.argsort(-scores, axis=1, kind="stable"), axis=1)
     return recall_at_k(ranked, true_ids, ks).recall_at
 

@@ -165,7 +165,7 @@ def init_params(d_in: int, q_tokens: int, dim: int, seed: int) -> EncoderParams:
     )
 
 
-def _encode_batch(encoders, q_tokens, dim):
+def _encode_batch(encoders, q_tokens, dim, rows=None):
     """Affine encode + row normalize + mean pool of a stack of encoders, keeping backward intermediates.
 
     The one encoder of train, eval and detect: one (w, b, x) per encoder, each
@@ -176,6 +176,10 @@ def _encode_batch(encoders, q_tokens, dim):
     its slice of one buffer, so every batch gets the bits of its own 2-D call.
     The normalize and pool steps then run once on the stack, in place. No w,
     b or x is written.
+
+    With `rows`, an index into the first leading axis, the products still run
+    over all of x and the row-wise rest only on `f[:, rows]`: each output is
+    bit for bit `a[:, rows]` of the call without `rows`.
     """
     lead = encoders[0][2].shape[:-1]
     f = np.empty((len(encoders), *lead, q_tokens * dim))
@@ -183,14 +187,20 @@ def _encode_batch(encoders, q_tokens, dim):
         if x.shape != (*lead, w.shape[1]):
             raise DimensionMismatch(f"input {x.shape} != {lead} rows of encoder input width {w.shape[1]}")
         np.matmul(x, w.T, out=out)
+    if rows is not None:
+        f = f[:, rows]
+    for out, (_, b, _) in zip(f, encoders):
         out += b
     f = f.reshape(f.shape[:-1] + (q_tokens, dim))
     rn = np.sqrt(np.einsum("...qd,...qd->...q", f, f))
     if (rn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate token row during batch encoding")
     f /= rn[..., None]
-    pooled = f.sum(axis=-2)
-    pooled /= q_tokens  # f.mean(axis=-2), without its overhead
+    # f.mean(axis=-2) in slice adds, in numpy's sum's order: left to right from +0.0
+    pooled = f[..., 0, :] + 0.0
+    for t in range(1, q_tokens):
+        pooled += f[..., t, :]
+    pooled /= q_tokens
     vn = np.sqrt(np.einsum("...d,...d->...", pooled, pooled))
     if (vn < ROW_NORM_EPS).any():
         raise ZeroRow("degenerate pooled vector during batch encoding")

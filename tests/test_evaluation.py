@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from habit import evaluation, synth, train as T
-from habit.errors import LengthMismatch, MissingTarget
+from habit.errors import DomainError, LengthMismatch, MissingTarget
 
 
 def test_recall_perfect_ranking():
@@ -102,10 +102,9 @@ def test_recall_block_scan_missing_target_in_late_row():
 def test_recall_empty_lists():
     with pytest.raises(MissingTarget, match="query 0: target 3 "):
         evaluation.recall_at_k(np.zeros((2, 0), dtype=int), [3, 4], (1,))
-    # no queries at all: nothing is missing, and there is no recall to average
-    with pytest.warns(RuntimeWarning):
-        report = evaluation.recall_at_k(np.zeros((0, 5), dtype=int), [], (1,))
-    assert report.n_queries == 0 and np.isnan(report.recall_at[1])
+    # no queries at all: there is no recall to average
+    with pytest.raises(LengthMismatch, match="a query at least"):
+        evaluation.recall_at_k(np.zeros((0, 5), dtype=int), [], (1,))
 
 
 def make_model(seed=0):
@@ -180,6 +179,48 @@ def test_recall_subset_ties_rank_in_subset_order():
     assert g[twin].tobytes() == g[t0].tobytes()
     later = sum(float(q[i] @ g[true_ids[i]]) < float(q[i] @ g[twin]) for i in range(1, len(true_ids)))
     assert out == {1: (len(true_ids) - 1 - later) / len(true_ids), 2: 1.0}
+
+
+# target widths 32 and 16 at Q*D 64, subsets naming 1 to 18 distinct rows (where a
+# product over only those rows would round apart from the gallery's), and G 1 to 40
+@pytest.mark.parametrize("d_in, g, n, size", [
+    (32, 40, 3, 6), (32, 40, 1, 6), (32, 19, 2, 5), (32, 2, 4, 2), (32, 1, 3, 1),
+    (16, 40, 5, 1), (16, 40, 1, 1), (16, 7, 2, 3), (16, 1, 1, 1),
+])
+def test_recall_subset_scores_equal_full_gallery_formula(monkeypatch, d_in, g, n, size):
+    rng = np.random.default_rng(g * n + size)
+    params = T.init_params(d_in, 4, 16, seed=g)
+    refs, mods, gal = (rng.standard_normal((k, d_in)) for k in (n, n, g))
+    subs = np.stack([rng.choice(g, size=size, replace=False) for _ in range(n)])
+    if n > 1 and size == 1:
+        subs[:] = subs[0]  # one subset row for every query
+    q = evaluation.pooled_queries(params, refs, mods)
+    full = evaluation.pooled_targets(params, gal)
+    scores = np.matmul(full[subs], q[:, :, None])[:, :, 0]  # the formula before subset rows
+    seen = []  # what recall_subset encodes and ranks
+
+    def spy(name):
+        fn = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name, lambda *a: seen.append((name, a, fn(*a))) or seen[-1][2])
+
+    spy("pooled_targets")
+    spy("recall_at_k")
+    evaluation.recall_subset(params, refs, mods, gal, subs[:, 0], list(subs))
+    (_, (_, _, ids), pooled), (_, (ranked, _, _), _) = seen
+    assert (ids == np.unique(subs)).all()
+    assert pooled.tobytes() == full[ids].tobytes()
+    pooled_subs = pooled[np.searchsorted(ids, subs)]
+    assert np.matmul(pooled_subs, q[:, :, None])[:, :, 0].tobytes() == scores.tobytes()
+    assert (ranked == np.take_along_axis(subs, np.argsort(-scores, axis=1, kind="stable"), axis=1)).all()
+
+
+@pytest.mark.parametrize("bad", [-1, 40, 41])
+def test_recall_subset_refuses_ids_outside_gallery(bad):
+    params, refs, mods, gal, true_ids = make_model(6)
+    subsets = [np.array([t, (t + 1) % 40]) for t in true_ids]
+    subsets[7] = np.array([true_ids[7], bad])
+    with pytest.raises(DomainError, match=f"query 7: subset id {bad} "):
+        evaluation.recall_subset(params, refs, mods, gal, true_ids, subsets)
 
 
 def test_detection_perfect_flags():
@@ -298,7 +339,8 @@ def score_matrices(draw):
     """
     k = draw(st.integers(0, 7))
     g = draw(st.sampled_from(sorted({1, 2, 2**k, 2**k + 1})))
-    n = draw(st.integers(1, 3 * evaluation._BLOCK + 1))
+    block = max(1, evaluation._BLOCK_BYTES // (8 * g))  # `_rank_rows`' rows per block
+    n = draw(st.integers(1, 3 * block + 1))
     bits = max(1, (g - 1).bit_length())
     anchor = draw(st.floats(-2.0, 2.0, allow_subnormal=True))
     anchor_bits = int(np.array([anchor]).view(np.int64)[0])

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from habit import dpl, features, mke, synth, train as T
 from habit.errors import ConfigError, DimensionMismatch, FormatError, ZeroRow
@@ -153,6 +154,48 @@ def test_encoder_stack_equals_per_encoder_expressions(rows, q, d):
     for i, (w, b, _) in enumerate(encoders):
         for k in range(3):
             assert as_bits(a[i, k] for a in stacked) == as_bits(encode_out_of_place(w, b, xs[i][k], q, d))
+
+
+# the shapes where a product over fewer rows rounds apart from the same rows of a
+# larger one (rows x Q*D <= 1200 at input width 32 or more, or 1 row), and G 1 to 40
+@pytest.mark.parametrize("d_in, q, d, n, rows", [
+    (32, 4, 16, 40, [0, 3, 7, 11, 12, 20, 21, 22, 23, 24, 30, 31, 32, 33, 34, 35, 38, 39]),
+    (32, 4, 16, 19, [5]),
+    (32, 4, 16, 2, [1]),
+    (16, 4, 16, 40, [17]),
+    (16, 4, 16, 1, [0]),
+    (16, 3, 5, 13, [12, 0, 0, 4]),  # unsorted, with a repeat
+    (32, 4, 16, 7, []),
+])
+def test_encode_rows_equal_rows_of_full_call(d_in, q, d, n, rows):
+    rng = np.random.default_rng(n)
+    params = T.init_params(d_in, q, d, seed=n)
+    rows = np.array(rows, dtype=np.intp)
+    for lead in [(n,), (n, 3), (n, 2, 5)]:  # a batch, and stacks of batches
+        encoders = [(params.w_c, params.b_c, rng.standard_normal((*lead, 2 * d_in))),
+                    (params.w_t, params.b_t, rng.standard_normal((*lead, d_in)))]
+        for enc in (encoders, encoders[1:]):
+            full = T._encode_batch(enc, q, d)
+            got = T._encode_batch(enc, q, d, rows)
+            assert as_bits(got) == as_bits(a[:, rows] for a in full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([1, 2, 3, 4, 8]), d=st.sampled_from([1, 2, 3, 5, 16]),
+       lead=st.sampled_from([(1,), (2,), (7,), (1, 1), (3, 1), (2, 5), (2, 3, 4)]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_encode_pool_equals_numpy_sum(q, d, lead, seed, scale):
+    # the pool adds token slices; numpy's sum over the token axis must give the same bits
+    rng = np.random.default_rng(seed)
+    w, b = scale * rng.standard_normal((q * d, 3)), rng.standard_normal(q * d)
+    b[rng.random(q * d) < 0.2] = 0.0
+    try:
+        f, rn, vn, pooled = T._encode_batch([(w, b, rng.standard_normal((*lead, 3)))], q, d)
+    except ZeroRow:  # width 1: unit tokens are +-1 and may cancel
+        assume(False)
+    mean = f.sum(axis=-2) / q
+    want_vn = np.sqrt(np.einsum("...d,...d->...", mean, mean))
+    assert as_bits([vn, pooled]) == as_bits([want_vn, mean / want_vn[..., None]])
 
 
 def test_encode_dimension_mismatch():
