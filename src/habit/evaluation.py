@@ -105,7 +105,7 @@ def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
     return RetrievalReport(recall_at=recall, n_queries=ranked.shape[0])
 
 
-def build_subsets(true_target_ids, n_gallery, seed, size=6):
+def build_subsets(true_target_ids, n_gallery, seed, size):
     """Per-query candidate subsets: the true target plus seeded distractors."""
     if not 1 <= size <= n_gallery:
         raise ConfigError(f"subset size {size} must be between 1 and the gallery size {n_gallery}")

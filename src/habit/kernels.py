@@ -6,59 +6,34 @@ kernels are the references that tests and benchmark checks compare
 against. `USE_NUMBA` is always False and stays for benchmark records.
 
 Both MK kernels are bitwise symmetric: ``core(a, b) == core(b, a)``.
-Swapping a pair transposes its joint, so the marginals are left-to-right
-sums along one axis and the two all-cell sums (the softmax normaliser and
-the MI) add the cells in ascending order, neither of which depends on the
-joint's memory order.
+Swapping a pair transposes its joint. The numpy kernel's marginals are
+left-to-right sums along one axis and its two all-cell sums (the softmax
+normaliser and the MI) add the cells in ascending order, so neither
+depends on the joint's memory order. Every sum of the loop kernel is an
+exactly rounded `math.fsum`, which no order of its terms can change.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 USE_NUMBA = False
 
 
-def _sum_ascending(cells):
-    # sequential sum of the cells in ascending order: any permutation of
-    # the cells, such as a transpose, gives the same bits
-    total = 0.0
-    for v in np.sort(cells, axis=None):
-        total += v
-    return total
-
-
 def _mutual_knowledge_loops(fc, ft, tau):
-    # softmax over all Qc*Qt token dot products, then MI of that joint
-    # against its own marginals, in sequential sums
-    qc, d = fc.shape
-    qt = ft.shape[0]
-    logits = np.empty((qc, qt))
-    hi = -1e300
-    for i in range(qc):
-        for j in range(qt):
-            acc = 0.0
-            for k in range(d):
-                acc += fc[i, k] * ft[j, k]
-            v = acc / tau
-            logits[i, j] = v
-            if v > hi:
-                hi = v
-    for i in range(qc):
-        for j in range(qt):
-            logits[i, j] = np.exp(logits[i, j] - hi)
-    p = logits / _sum_ascending(logits)
-    prow = np.zeros(qc)
-    pcol = np.zeros(qt)
-    for i in range(qc):
-        for j in range(qt):
-            prow[i] += p[i, j]
-            pcol[j] += p[i, j]
-    terms = np.empty((qc, qt))
-    for i in range(qc):
-        for j in range(qt):
-            terms[i, j] = p[i, j] * np.log(p[i, j] / (prow[i] * pcol[j]))
-    return max(_sum_ascending(terms), 0.0)
+    # softmax over all Qc*Qt token dot products, then the MI of that joint against its marginals
+    fc, ft = fc.tolist(), ft.tolist()
+    logits = [[math.fsum(x * y for x, y in zip(c, t)) / tau for t in ft] for c in fc]
+    hi = max(map(max, logits))
+    e = [[math.exp(v - hi) for v in row] for row in logits]
+    total = math.fsum(v for row in e for v in row)
+    p = [[v / total for v in row] for row in e]
+    prow = [math.fsum(row) for row in p]
+    pcol = [math.fsum(col) for col in zip(*p)]
+    mi = math.fsum(pij * math.log(pij / (pi * pj)) for row, pi in zip(p, prow) for pij, pj in zip(row, pcol))
+    return max(mi, 0.0)
 
 
 def _marginals(p):
@@ -97,42 +72,20 @@ mutual_knowledge_core = _mutual_knowledge_numpy
 
 def _dbscan_noise_loops(values, eps, min_pts):
     # Textbook DBSCAN on 1-D points; |x-y| <= eps neighborhoods include the
-    # point itself. Returns 1 at noise positions (neither core nor
-    # density-reachable from a core).
-    n = values.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        c = 0
-        for j in range(n):
-            if abs(values[i] - values[j]) <= eps:
-                c += 1
-        counts[i] = c
-    core = counts >= min_pts
-    labels = np.full(n, -1, dtype=np.int64)
-    stack = np.empty(n, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = cluster
-        top = 0
-        stack[top] = i
-        top += 1
-        while top > 0:
-            top -= 1
-            cur = stack[top]
-            for j in range(n):
-                if labels[j] == -1 and abs(values[cur] - values[j]) <= eps:
-                    labels[j] = cluster
-                    if core[j]:
-                        stack[top] = j
-                        top += 1
-        cluster += 1
-    noise = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        if labels[i] == -1:
-            noise[i] = 1
-    return noise
+    # point itself. Returns 1 at noise positions: points that the clusters,
+    # grown from the core points through core points, never reach.
+    v = values.tolist()
+    near = [[j for j, y in enumerate(v) if abs(x - y) <= eps] for x in v]
+    core = [len(nbrs) >= min_pts for nbrs in near]
+    reached = set()
+    todo = [i for i, is_core in enumerate(core) if is_core]
+    while todo:
+        i = todo.pop()
+        if i not in reached:
+            reached.add(i)
+            if core[i]:
+                todo += near[i]
+    return np.array([i not in reached for i in range(len(v))], dtype=np.int64)
 
 
 def dbscan_noise_flags(values, eps, min_pts):

@@ -49,6 +49,8 @@ class GenConfig:
             raise ConfigError("d_in must be >= n_attrs")
         if self.n_attrs < 2:
             raise ConfigError("n_attrs must be >= 2 (partial noise needs |delta| >= 2)")
+        if ATTR_LEVELS**self.n_attrs < 2 * self.n_gallery:
+            raise ConfigError("attribute space too small for distinct gallery entries")
         if not 0.0 <= self.sigma <= 1.0:
             raise ConfigError(f"sigma={self.sigma} outside [0, 1]")
         if not 0.0 <= self.partial_fraction <= 1.0:
@@ -104,8 +106,6 @@ def _embed(proj, rows):
 def generate(cfg: GenConfig):
     """Build (records, gallery) deterministically from cfg.seed."""
     cfg.validate()
-    if ATTR_LEVELS**cfg.n_attrs < 2 * cfg.n_gallery:
-        raise ConfigError("attribute space too small for distinct gallery entries")
     rng = np.random.default_rng(cfg.seed)
     proj = _attribute_projection(rng, cfg.d_in, cfg.n_attrs)
 

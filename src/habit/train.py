@@ -423,9 +423,11 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     """Full training loop; returns (Checkpoint, metrics rows).
 
     Metrics rows are dicts keyed by METRICS_COLUMNS, in order. A `resume`
-    that passes `check_config` continues from its epoch and reproduces the
-    uninterrupted run bit-for-bit. A step whose total loss is not finite
-    raises FloatingPointError before the parameters move.
+    continues from its epoch and reproduces the uninterrupted run
+    bit-for-bit; it raises FormatError unless it passes `check_config`, is at
+    most `cfg.epochs` in, and holds one memory per batch, of that batch's
+    size. A step whose total loss is not finite raises FloatingPointError
+    before the parameters move.
     """
     cfg.validate()
     batches = fixed_partition(len(records), cfg.batch_size, cfg.seed)
@@ -438,6 +440,14 @@ def train(records, gallery, cfg: TrainConfig, resume: Checkpoint | None = None):
     rng = np.random.default_rng(cfg.seed + 1)
     if resume is not None:
         check_config(resume, cfg)
+        if cfg.epochs < resume.epoch:
+            raise FormatError(f"checkpoint epoch {resume.epoch} > config train.epochs {cfg.epochs}")
+        if len(resume.memories) != len(batches):
+            raise FormatError(f"checkpoint has {len(resume.memories)} memories for {len(batches)} batches")
+        for bid, idx in enumerate(batches):
+            sim = resume.memories[bid].prev_similarity
+            if sim is not None and len(sim) != len(idx):
+                raise FormatError(f"checkpoint batch {bid} memory has B {len(sim)}, the batch has {len(idx)}")
         # copies, so that training leaves `resume` as it was
         params = resume.params.copy()
         rng.bit_generator.state = json.loads(resume.rng_state)

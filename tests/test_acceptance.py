@@ -5,7 +5,10 @@ B=32, 100 epochs, lr 3e-3, tau_mk 0.01, seeds 0/1/2) and are slow; run with
 ``pytest tests/test_acceptance.py -s`` to watch the lines appear.
 """
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,17 +274,38 @@ def bench_run(sigma, seed, ablations=()):
     return {"r10": r10, "det_f1": f1, "oracle_f1": oracle_f1}
 
 
+class BenchRuns:
+    """`bench_run` results, each trained once per module.
+
+    `fetch` trains the runs it is asked for that are not cached yet. Two or
+    more train at once, in a pool of at most one process per core, with one
+    BLAS thread each; a run gets the same figures in a worker as in-process.
+    """
+
+    def __init__(self):
+        self.cache = {}
+
+    def __call__(self, sigma, seed, ablations=()):
+        return self.fetch([(sigma, seed, ablations)])[0]
+
+    def fetch(self, runs):
+        keys = [(sigma, seed, tuple(sorted(ablations))) for sigma, seed, ablations in runs]
+        missing = [key for key in dict.fromkeys(keys) if key not in self.cache]
+        if len(missing) == 1:
+            self.cache[missing[0]] = bench_run(*missing[0])
+        elif missing:
+            # a spawned worker reads the variable when its numpy loads
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("OPENBLAS_NUM_THREADS", "1")
+                procs = min(len(os.sched_getaffinity(0)), len(missing))
+                with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("spawn")) as pool:
+                    self.cache.update(zip(missing, pool.map(bench_run, *zip(*missing))))
+        return [self.cache[key] for key in keys]
+
+
 @pytest.fixture(scope="module")
 def bench():
-    cache = {}
-
-    def get(sigma, seed, ablations=()):
-        key = (sigma, seed, tuple(sorted(ablations)))
-        if key not in cache:
-            cache[key] = bench_run(sigma, seed, ablations)
-        return cache[key]
-
-    return get
+    return BenchRuns()
 
 
 @pytest.mark.slow
@@ -318,6 +342,8 @@ def test_criterion_8_detection_vs_oracle(bench):
 
 @pytest.mark.slow
 def test_criterion_9_ablation_ordering(bench):
+    bench.fetch([(0.5, s, abl) for s in BENCH_SEEDS for abl in ((), ("no_mke",), ("no_mask",), ("no_rank",))]
+                + [(0.8, s, abl) for s in BENCH_SEEDS for abl in ((), ("no_mask",))])
     full5 = np.mean([bench(0.5, s)["r10"] for s in BENCH_SEEDS])
     abls = {
         name: np.mean([bench(0.5, s, (name,))["r10"] for s in BENCH_SEEDS])
@@ -334,6 +360,7 @@ def test_criterion_9_ablation_ordering(bench):
 
 @pytest.mark.slow
 def test_criterion_10_degradation_monotone(bench):
+    bench.fetch([(sig, s, ()) for s in BENCH_SEEDS for sig in BENCH_SIGMAS])
     table = np.array([[bench(sig, s)["r10"] for sig in BENCH_SIGMAS] for s in BENCH_SEEDS])
     means = table.mean(axis=0)
     stds = table.std(axis=0)

@@ -99,10 +99,11 @@ def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
     ("eval", "ks", [0], "eval.ks or --ks must list integers K >= 1"),
     ("train", "ablations", [["no_kl"]], "train.ablations must list flag names"),
     ("train", "ablations", [1, "no_kl"], "train.ablations must list flag names"),
+    ("gen", "n_attrs", 2, "attribute space too small for distinct gallery entries"),
 ], ids=["train.dbscan_eps-nan", "train.q_tokens-0", "split.test_fraction-nan",
         "gen.unmentioned_noise_std-inf", "train.seed--1", "split.seed--2", "eval.subset_seed--1",
         "gen.n_triplets--1", "split.test_fraction-1.5", "eval.subset_size-0", "eval.ks-0",
-        "train.ablations-list", "train.ablations-int"])
+        "train.ablations-list", "train.ablations-int", "gen.n_attrs-2"])
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "detect"])
 def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section, key, value, says):
     # one check refuses the whole config for every command, sections it does
@@ -565,6 +566,10 @@ def test_sweep_unknown_axis_exit_2(tmp_path):
     with pytest.raises(SystemExit):  # argparse rejects bad --axis choices
         cli.main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s"),
                   "--axis", "bogus", "--values", "1"])
+    # only a library call reaches cmd_sweep's own check
+    with pytest.raises(ConfigError, match="unknown sweep axis 'bogus'"):
+        cli.cmd_sweep(cli.load_config(cfg_path), "bogus", [1.0], tmp_path / "s")
+    assert not (tmp_path / "s").exists()
 
 
 def test_seed_flag_overrides(tmp_path):

@@ -31,6 +31,12 @@ def test_normalize_rows_zero_row_raises():
         features.normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_normalize_rows_needs_a_matrix(shape):
+    with pytest.raises(DimensionMismatch, match=f"ndim={len(shape)}"):
+        features.normalize_rows(np.ones(shape))
+
+
 def pool(f):
     """Mean-then-normalize pooling of unit token rows f (Q, D), through the one encoder.
 

@@ -77,6 +77,12 @@ def test_generate_precondition_errors():
         synth.generate(small_cfg(sigma=1.5))
     with pytest.raises(ConfigError):
         synth.generate(small_cfg(d_in=3))  # < n_attrs
+    with pytest.raises(ConfigError, match="partial_fraction=1.5 outside"):
+        synth.generate(small_cfg(partial_fraction=1.5))
+    with pytest.raises(ConfigError, match="unmentioned_noise_std must be >= 0"):
+        synth.generate(small_cfg(unmentioned_noise_std=-0.1))
+    with pytest.raises(ConfigError, match="attribute space too small"):
+        small_cfg(n_attrs=2).validate()  # 5**2 < 2 * n_gallery
 
 
 @pytest.mark.parametrize("key", ["sigma", "partial_fraction", "unmentioned_noise_std"])
@@ -93,6 +99,8 @@ def test_split_half_over_clean():
     assert len(train) == 5 and len(test) == 5
     assert {r.id for r in train} | {r.id for r in test} == {r.id for r in records}
     assert not ({r.id for r in train} & {r.id for r in test})
+    with pytest.raises(ConfigError, match="fraction=1.0 outside"):
+        synth.split(records, 1.0, seed=1)
 
 
 def test_split_all_noisy_warns_empty_test():

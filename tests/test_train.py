@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from habit import dpl, features, mke, synth, train as T
-from habit.errors import ConfigError, DimensionMismatch, FormatError, ZeroRow
+from habit.errors import ConfigError, DegenerateBatch, DimensionMismatch, FormatError, ZeroRow
 
 
 def make_batch(seed=0, b=4, d_in=6):
@@ -62,6 +62,13 @@ def test_encode_opposite_tokens_zero_row():
     b = np.array([1.0, 0.0, -1.0, 0.0])
     with pytest.raises(ZeroRow):
         T._encode_batch([(w, b, np.ones((1, 1)))], 2, 2)
+
+
+def test_encode_zero_token_row():
+    # a zero weight and bias block makes the second token row zero, before any pooling
+    b = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ZeroRow, match="degenerate token row"):
+        T._encode_batch([(np.zeros((4, 1)), b, np.ones((1, 1)))], 2, 2)
 
 
 def test_encode_pool_permutation_invariant():
@@ -217,6 +224,26 @@ def test_loss_and_grad_row_mismatch_raises(rows, flags):
     params = T.init_params(6, 2, 4, seed=0)
     with pytest.raises(DimensionMismatch, match="batch rows disagree"):
         T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), small_cfg(ablations=flags), rng)
+
+
+def test_loss_and_grad_one_row_batch_raises():
+    rng = np.random.default_rng(0)
+    refs, mods, tgts = (rng.standard_normal((1, 6)) for _ in range(3))
+    params = T.init_params(6, 2, 4, seed=0)
+    with pytest.raises(DegenerateBatch, match="B >= 2"):
+        T.loss_and_grad(params, refs, mods, tgts, dpl.BatchMemory(), small_cfg(), rng)
+
+
+@pytest.mark.parametrize("loss, args, says", [
+    (dpl.kl_consistency, (np.zeros((3, 3)), np.zeros((3, 4)), np.ones(3), np.ones(3), 0.1), "similarity/mask"),
+    (dpl.kl_consistency, (np.zeros((3, 3)), np.zeros((3, 3)), np.ones(3), np.ones(2), 0.1), "mask lengths"),
+    (dpl.soft_margin_loss, (np.zeros((3, 3)), np.ones(2), np.ones(3), 0.2), "similarity/estimate/mask"),
+    (dpl.robust_contrastive_loss, (np.zeros((3, 3)), np.ones(2), 0.1), "similarity/mask"),
+], ids=["kl-sim", "kl-masks", "soft", "rank"])
+def test_loss_terms_refuse_shape_mismatch(loss, args, says):
+    # the loss terms' own shape guards, which loss_and_grad's row check keeps a step from reaching
+    with pytest.raises(DimensionMismatch, match=says):
+        loss(*args)
 
 
 def standard_out_of_place(sim, tau):
@@ -680,6 +707,20 @@ def test_resume_with_another_config_raises():
         T.train(records, gallery, other, resume=part)
 
 
+@pytest.mark.parametrize("n_records, epochs, says", [
+    (24, 2, "checkpoint epoch 3 > config train.epochs 2"),
+    (16, 4, "checkpoint has 3 memories for 2 batches"),
+    (20, 4, "memory has B 8, the batch has 4"),
+], ids=["fewer-epochs", "fewer-batches", "smaller-batch"])
+def test_resume_refuses_a_run_it_does_not_fit(n_records, epochs, says):
+    # 24 records make 3 batches of 8, 16 make 2 of 8, 20 make 8, 8 and 4
+    records, gallery = tiny_dataset(sigma=0.25)
+    part, _ = T.train(records, gallery, small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=26))
+    cfg = small_cfg(epochs=epochs, batch_size=8, q_tokens=2, dim=6, seed=26)
+    with pytest.raises(FormatError, match=says):
+        T.train(records[:n_records], gallery, cfg, resume=part)
+
+
 def test_resume_twice_from_one_checkpoint(tmp_path):
     # training from `resume` must not move the checkpoint it was handed
     records, gallery = tiny_dataset(sigma=0.25)
@@ -778,6 +819,8 @@ def test_train_config_validation():
         small_cfg(batch_size=1).validate()
     with pytest.raises(ConfigError):
         small_cfg(tau=0.0).validate()
+    with pytest.raises(ConfigError, match="tau must be finite, got nan"):
+        small_cfg(tau=float("nan")).validate()
     with pytest.raises(ConfigError):
         small_cfg(ablations=frozenset({"bogus"})).validate()
     for key in ("q_tokens", "dim"):
