@@ -252,8 +252,8 @@ def cmd_eval(cfg: dict, tcfg, ckpt_path: Path, data_dir: Path, out_dir: Path) ->
         true_ids, len(gallery), cfg["eval"]["subset_seed"], cfg["eval"]["subset_size"]
     )
 
-    ranked = evaluation.rank_gallery(ckpt.params, refs, mods, gal)
-    report = evaluation.recall_at_k(ranked, true_ids, cfg["eval"]["ks"])
+    keys = evaluation.rank_gallery(ckpt.params, refs, mods, gal)
+    report = evaluation.recall_at_k(keys, true_ids, cfg["eval"]["ks"])
     sub = evaluation.recall_subset(ckpt.params, refs, mods, gal, true_ids, subsets)
 
     out_dir.mkdir(parents=True, exist_ok=True)

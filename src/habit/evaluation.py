@@ -35,74 +35,45 @@ def pooled_targets(params: EncoderParams, vecs, rows=None):
 
 
 def rank_gallery(params: EncoderParams, refs, mods, gallery_vecs):
-    """Gallery ids ranked by descending cosine to each query; stable tie order.
-
-    Equal to `np.argsort(-scores, axis=1, kind="stable")`, computed with one
-    float64 value sort per row instead of an argsort. Each row's key is the
-    negated score with its low b mantissa bits replaced by the gallery id,
-    b = max(1, (G - 1).bit_length()), so the sorted keys carry the ranked ids
-    in their low bits. Dropping those bits (truncating toward zero) keeps
-    score order on both signs but can make close scores equal. A row whose
-    truncated keys are all distinct, and whose sorted keys are finite at both
-    ends, is in strict score order, which is the stable one. A row is
-    argsorted again, stably, when two adjacent truncated keys are equal
-    (0.0 and -0.0 among them) or when an end key is not finite: an infinity
-    or a NaN in the row, which its id bits can turn into the other one.
-    The ranking overwrites the scores: 8 bytes a scored pair, one matrix.
-    """
+    """Each query's ranking keys over the gallery: one (N, G) float64 matrix of
+    negated cosines, `q @ -g.T`. A row's stable ascending order ranks the
+    gallery by descending cosine, ties in gallery id order; `recall_at_k`
+    counts each target's place in that order."""
     q = pooled_queries(params, refs, mods)
-    return _rank_rows(q @ -pooled_targets(params, gallery_vecs).T)
+    return q @ -pooled_targets(params, gallery_vecs).T
 
 
-_BLOCK_BYTES = 320_000  # keys sorted at a time (a row at least): a block and its copy stay in L2
+def recall_at_k(keys, true_target_ids, ks) -> RetrievalReport:
+    """Fraction of queries whose true target ranks in the top K of its key row.
 
-
-def _rank_rows(neg):
-    """`np.argsort(neg, axis=1, kind="stable")` by `rank_gallery`'s float keys,
-    written over the float64 `neg`, which it consumes, and returned as its intp view."""
-    n, g = neg.shape
-    low = (1 << max(1, (g - 1).bit_length())) - 1
-    ids = np.arange(g)
-    block = max(1, _BLOCK_BYTES // (8 * max(g, 1)))
-    for lo in range(0, n, block):
-        x = neg[lo:lo + block]
-        orig, k = x.copy(), x.view(np.int64)
-        k &= ~low
-        k |= ids
-        x.sort(axis=1)
-        top = (k & ~low).view(np.float64)
-        redo = (top[:, 1:] == top[:, :-1]).any(axis=1) | ~np.isfinite(x[:, 0]) | ~np.isfinite(x[:, -1])
-        k &= low
-        for row in np.flatnonzero(redo):
-            k[row] = np.argsort(orig[row], kind="stable")
-    return neg.view(np.intp)
-
-
-def recall_at_k(ranked_gallery_ids, true_target_ids, ks) -> RetrievalReport:
-    """Fraction of queries whose true target appears in the top K.
-
-    A query's position is the first column holding its target. Column blocks, each twice
-    as wide as the last, are scanned over the queries not yet found, until all are.
+    A target's rank is its place in its row's stable ascending order: the keys
+    before its column that are at most its key, plus those from its column on
+    that are below it. It is counted one row at a time, so no temporary is
+    the size of the matrix. As numpy orders floats, a NaN key comes after
+    every number, NaNs keep column order among themselves, and -0.0 ties
+    with 0.0.
     """
-    ranked = np.asarray(ranked_gallery_ids)
+    keys = np.asarray(keys)
     true_ids = np.asarray(true_target_ids)
-    if not ranked.shape[0] or ranked.shape[0] != true_ids.shape[0]:
-        raise LengthMismatch("one ranked list per query, and a query at least, required")
-    positions = np.zeros(ranked.shape[0], dtype=np.intp)
-    todo = np.arange(ranked.shape[0])  # ascending: todo[0] is the first missing query
-    lo, width = 0, 64  # the first block's columns
-    while todo.size and lo < ranked.shape[1]:
-        hit = ranked[todo, lo : lo + width] == true_ids[todo, None]
-        first = hit.argmax(axis=1)  # a row's first hit, or 0 in a row with none
-        found = hit[np.arange(todo.size), first]
-        positions[todo[found]] = lo + first[found]
-        todo = todo[~found]
-        lo, width = lo + width, 2 * width
-    if todo.size:
-        i = int(todo[0])
+    if not keys.shape[0] or keys.shape[0] != true_ids.shape[0]:
+        raise LengthMismatch("one key row per query, and a query at least, required")
+    _require_targets((true_ids >= 0) & (true_ids < keys.shape[1]), true_ids)
+    ranks = np.array([_target_rank(row, t) for row, t in zip(keys, true_ids.tolist())])
+    recall = {int(k): float(np.mean(ranks < k)) for k in ks}
+    return RetrievalReport(recall_at=recall, n_queries=keys.shape[0])
+
+
+def _require_targets(found, true_ids):
+    if not found.all():
+        i = int(np.argmin(found))
         raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
-    recall = {int(k): float(np.mean(positions < k)) for k in ks}
-    return RetrievalReport(recall_at=recall, n_queries=ranked.shape[0])
+
+
+def _target_rank(row, t):
+    key = row[t]
+    if key != key:  # a NaN: every number, and every NaN before column t, ranks ahead of it
+        return row.size - np.count_nonzero(np.isnan(row[t:]))
+    return np.count_nonzero(row[:t] <= key) + np.count_nonzero(row[t:] < key)
 
 
 def build_subsets(true_target_ids, n_gallery, seed, size):
@@ -130,9 +101,9 @@ def _draws(rng, n):
 def recall_subset(params, refs, mods, gallery_vecs, true_target_ids, subsets, ks=(1, 2, 3)):
     """R_sub@K over per-query restricted candidate lists, all of one length, one
     per query (else LengthMismatch), each holding its query's target (else
-    `recall_at_k`'s MissingTarget) and only gallery ids (else DomainError); ties
-    rank in subset order. Only the gallery rows the subsets name are normalized
-    and pooled, each with the bits of the full gallery's encoding."""
+    MissingTarget) and only gallery ids (else DomainError); ties rank in subset
+    order. Only the gallery rows the subsets name are normalized and pooled,
+    each with the bits of the full gallery's encoding."""
     true_ids = np.asarray(true_target_ids)
     if not len(subsets) or len(subsets) != len(true_ids) or len({len(s) for s in subsets}) > 1:
         raise LengthMismatch("one subset per query, all of one length, and a query at least required")
@@ -142,12 +113,13 @@ def recall_subset(params, refs, mods, gallery_vecs, true_target_ids, subsets, ks
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DomainError(f"query {i}: subset id {subs[i, j]} is not a gallery id 0..{gal.shape[0] - 1}")
+    hit = subs == true_ids[:, None]
+    _require_targets(hit.any(axis=1), true_ids)
     ids, inv = np.unique(subs, return_inverse=True)
     q = pooled_queries(params, refs, mods)
     g = pooled_targets(params, gal, ids)[inv.reshape(subs.shape)]
     scores = np.matmul(g, q[:, :, None])[:, :, 0]
-    ranked = np.take_along_axis(subs, np.argsort(-scores, axis=1, kind="stable"), axis=1)
-    return recall_at_k(ranked, true_ids, ks).recall_at
+    return recall_at_k(-scores, hit.argmax(axis=1), ks).recall_at
 
 
 def detection_metrics(mask, estimates, truth_labels) -> DetectionReport:

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import re
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from habit import cli, dpl, mke, synth, train as train_mod
 from habit.errors import ConfigError
@@ -778,3 +784,61 @@ def test_non_finite_data_exit_5(tmp_path, capsys, file, key):
     assert code == 5
     assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+FUZZ_FILES = {"dataset.jsonl": "data", "gallery.jsonl": "data", "checkpoint.bin": "run", "config.json": "."}
+JSON_TOKENS = (b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1", b"0", b"0.5", b"true", b"null",
+               b"[]", b"{}", b'"x"')
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """The bytes of the `SMALL` pipeline's inputs: its config, data and checkpoint."""
+    root = tmp_path_factory.mktemp("small")
+    full_pipeline(root)
+    return {name: (root / where / name).read_bytes() for name, where in FUZZ_FILES.items()}
+
+
+def mutate(blob, data):
+    """One random edit of `blob`: a bit flip, a cut, a deleted span, a line
+    duplicated or dropped, or a number replaced by another JSON token."""
+    kind = data.draw(st.sampled_from(["flip", "truncate", "delete", "duplicate", "drop", "number"]))
+    if kind == "flip":
+        i = data.draw(st.integers(0, 8 * len(blob) - 1))
+        return blob[:i // 8] + bytes([blob[i // 8] ^ (1 << i % 8)]) + blob[i // 8 + 1:]
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "delete":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + blob[i + data.draw(st.integers(1, 64)):]
+    if kind == "number":
+        spans = [m.span() for m in NUMBER.finditer(blob)]
+        i, j = data.draw(st.sampled_from(spans))
+        return blob[:i] + data.draw(st.sampled_from(JSON_TOKENS)) + blob[j:]
+    lines = blob.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    return b"\n".join(lines[:i] + lines[i:i + 1] * (kind == "duplicate") + lines[i + 1:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FUZZ_FILES)), st.data())
+def test_mutated_input_keeps_exit_code_contract(small_files, name, data):
+    # whatever one input file holds, a command ends in a documented exit code, not a traceback
+    command = data.draw(st.sampled_from(["eval", "detect"] if name == "checkpoint.bin" else
+                                        ["train", "eval", "detect"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for file, where in FUZZ_FILES.items():
+            (root / where).mkdir(exist_ok=True)
+            blob = small_files[file]
+            (root / where / file).write_bytes(mutate(blob, data) if file == name else blob)
+        argv = [command, "--config", str(root / "config.json"), "--data", str(root / "data"),
+                "--out", str(root / "out")]
+        if command != "train":
+            argv += ["--ckpt", str(root / "run" / "checkpoint.bin")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()

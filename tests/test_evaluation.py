@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -9,17 +10,27 @@ from habit import evaluation, synth, train as T
 from habit.errors import DomainError, LengthMismatch, MissingTarget
 
 
+def keys_of(ranked):
+    """A key matrix whose stable ascending order lists each row's ids in `ranked`
+    order (`keys[i, ranked[i]] = arange(L)`), then the ids a row does not list."""
+    ranked = np.asarray(ranked)
+    n, length = ranked.shape
+    keys = np.full((n, max(length, int(ranked.max(initial=-1)) + 1)), float(length))
+    keys[np.arange(n)[:, None], ranked] = np.arange(length)
+    return keys
+
+
 def test_recall_perfect_ranking():
     ranked = np.array([[3, 1, 2], [0, 2, 1]])
-    report = evaluation.recall_at_k(ranked, [3, 0], [1, 2])
+    report = evaluation.recall_at_k(keys_of(ranked), [3, 0], [1, 2])
     assert report.recall_at == {1: 1.0, 2: 1.0}
 
 
 def test_recall_adversarial_ranking():
-    ranked = np.tile(np.arange(100), (5, 1))
-    report = evaluation.recall_at_k(ranked, [99] * 5, [50])
+    keys = keys_of(np.tile(np.arange(100), (5, 1)))
+    report = evaluation.recall_at_k(keys, [99] * 5, [50])
     assert report.recall_at[50] == 0.0
-    assert evaluation.recall_at_k(ranked, [99] * 5, [100]).recall_at[100] == 1.0
+    assert evaluation.recall_at_k(keys, [99] * 5, [100]).recall_at[100] == 1.0
 
 
 def test_recall_matches_counting_oracle():
@@ -29,7 +40,7 @@ def test_recall_matches_counting_oracle():
     ranked = np.argsort(-scores, axis=1, kind="stable")
     true_ids = rng.integers(0, n_gallery, size=n_queries)
     ks = [1, 5, 10, 40]
-    report = evaluation.recall_at_k(ranked, true_ids, ks)
+    report = evaluation.recall_at_k(keys_of(ranked), true_ids, ks)
     for k in ks:
         hits = sum(
             1 for i in range(n_queries) if true_ids[i] in set(ranked[i][:k].tolist())
@@ -43,68 +54,35 @@ def test_recall_matches_counting_oracle():
 
 def test_recall_missing_target():
     with pytest.raises(MissingTarget):
-        evaluation.recall_at_k(np.array([[0, 1]]), [5], [1])
+        evaluation.recall_at_k(keys_of([[0, 1]]), [5], [1])
     # the error names the first query whose target is missing, not query 0
     ranked = np.array([[0, 1, 2], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
     with pytest.raises(MissingTarget, match="query 1: target 7 "):
-        evaluation.recall_at_k(ranked, [2, 7, 1, 9], [1])
-
-
-def recall_full_matrix(ranked, true_ids, ks):
-    """recall_at_k over the whole hit matrix at once: the reference for its column-block scan."""
-    ranked, true_ids = np.asarray(ranked), np.asarray(true_ids)
-    hit = ranked == true_ids[:, None]
-    if not hit.shape[1]:
-        hit = np.zeros((hit.shape[0], 1), dtype=bool)
-    positions = hit.argmax(axis=1)
-    found = hit[np.arange(hit.shape[0]), positions]
-    if not found.all():
-        i = int(np.argmin(found))
-        raise MissingTarget(f"query {i}: target {true_ids[i]} not in gallery list")
-    return {int(k): float(np.mean(positions < k)) for k in ks}
+        evaluation.recall_at_k(keys_of(ranked), [2, 7, 1, 9], [1])
 
 
 def late_targets(n_queries=400, n_gallery=3000, seed=0):
-    # each row a permutation; targets drawn at every depth, most of them past the first block
+    # each row a permutation; targets drawn at every depth
     rng = np.random.default_rng(seed)
     ranked = np.argsort(rng.random((n_queries, n_gallery)), axis=1)
     depth = rng.integers(0, n_gallery, size=n_queries)
-    depth[:4] = [0, 63, 64, n_gallery - 1]  # the first block's edges and the last column
     return ranked, ranked[np.arange(n_queries), depth]
-
-
-def repeated_ids():
-    # ids repeat within a row; the first occurrence counts, before and after a block edge
-    ranked, _ = late_targets(50, 300, seed=1)
-    ranked[:, 120:] = ranked[:, 60:240]  # columns 60-239 again, 60 further on: twice in one block
-    true_ids = ranked[np.arange(50), np.random.default_rng(2).integers(0, 300, size=50)]
-    ranked[0, [5, 20, 70]] = true_ids[0]  # twice in the first block, and once past it
-    return ranked, true_ids
-
-
-@pytest.mark.parametrize("case", [late_targets, repeated_ids], ids=["late", "repeated"])
-def test_recall_block_scan_equals_full_matrix(case):
-    ranked, true_ids = case()
-    ks = (1, 5, 10, 50, 64, 65, 1000, ranked.shape[1])
-    assert evaluation.recall_at_k(ranked, true_ids, ks).recall_at == recall_full_matrix(ranked, true_ids, ks)
 
 
 def test_recall_block_scan_missing_target_in_late_row():
     ranked, true_ids = late_targets()
-    true_ids[[350, 399]] = -1  # found in no column; 350 is the first such query
-    with pytest.raises(MissingTarget) as want:
-        recall_full_matrix(ranked, true_ids, (1,))
+    true_ids[[350, 399]] = -1  # no gallery id; 350 is the first such query
     with pytest.raises(MissingTarget) as got:
-        evaluation.recall_at_k(ranked, true_ids, (1,))
-    assert str(got.value) == str(want.value) == "query 350: target -1 not in gallery list"
+        evaluation.recall_at_k(keys_of(ranked), true_ids, (1,))
+    assert str(got.value) == "query 350: target -1 not in gallery list"
 
 
 def test_recall_empty_lists():
     with pytest.raises(MissingTarget, match="query 0: target 3 "):
-        evaluation.recall_at_k(np.zeros((2, 0), dtype=int), [3, 4], (1,))
+        evaluation.recall_at_k(keys_of(np.zeros((2, 0), dtype=int)), [3, 4], (1,))
     # no queries at all: there is no recall to average
     with pytest.raises(LengthMismatch, match="a query at least"):
-        evaluation.recall_at_k(np.zeros((0, 5), dtype=int), [], (1,))
+        evaluation.recall_at_k(keys_of(np.zeros((0, 5), dtype=int)), [], (1,))
 
 
 def make_model(seed=0):
@@ -197,7 +175,7 @@ def test_recall_subset_scores_equal_full_gallery_formula(monkeypatch, d_in, g, n
     q = evaluation.pooled_queries(params, refs, mods)
     full = evaluation.pooled_targets(params, gal)
     scores = np.matmul(full[subs], q[:, :, None])[:, :, 0]  # the formula before subset rows
-    seen = []  # what recall_subset encodes and ranks
+    seen = []  # what recall_subset encodes and counts
 
     def spy(name):
         fn = getattr(evaluation, name)
@@ -205,13 +183,15 @@ def test_recall_subset_scores_equal_full_gallery_formula(monkeypatch, d_in, g, n
 
     spy("pooled_targets")
     spy("recall_at_k")
-    evaluation.recall_subset(params, refs, mods, gal, subs[:, 0], list(subs))
-    (_, (_, _, ids), pooled), (_, (ranked, _, _), _) = seen
+    where = rng.integers(size, size=n)  # each query's target column
+    evaluation.recall_subset(params, refs, mods, gal, subs[np.arange(n), where], list(subs))
+    (_, (_, _, ids), pooled), (_, (keys, cols, _), _) = seen
     assert (ids == np.unique(subs)).all()
     assert pooled.tobytes() == full[ids].tobytes()
     pooled_subs = pooled[np.searchsorted(ids, subs)]
     assert np.matmul(pooled_subs, q[:, :, None])[:, :, 0].tobytes() == scores.tobytes()
-    assert (ranked == np.take_along_axis(subs, np.argsort(-scores, axis=1, kind="stable"), axis=1)).all()
+    assert keys.tobytes() == (-scores).tobytes()
+    assert (cols == where).all()
 
 
 @pytest.mark.parametrize("bad", [-1, 40, 41])
@@ -280,13 +260,17 @@ def identity_params(d):
 
 
 def ranking_case(params, refs, gal):
-    """Check rank_gallery against the stable argsort; return how many rows have a tie."""
+    """Check rank_gallery's keys, and the ranks recall_at_k counts from them,
+    against the stable argsort of the scores; return how many rows have a tie."""
     mods = np.ones_like(refs)
-    scores = evaluation.pooled_queries(params, refs, mods) @ evaluation.pooled_targets(params, gal).T
-    want = np.argsort(-scores, axis=1, kind="stable")
-    got = evaluation.rank_gallery(params, refs, mods, gal)
-    assert got.dtype == np.int64 and got.shape == want.shape
-    assert (got == want).all()
+    q, g = evaluation.pooled_queries(params, refs, mods), evaluation.pooled_targets(params, gal)
+    scores = q @ g.T
+    keys = evaluation.rank_gallery(params, refs, mods, gal)
+    assert keys.dtype == np.float64 and keys.tobytes() == (q @ -g.T).tobytes()
+    order = np.argsort(-scores, axis=1, kind="stable")
+    # the id at depth d of every row's order ranks d: in the top d + 1, not in the top d
+    for d in {0, 1, g.shape[0] // 2, g.shape[0] - 1} & set(range(g.shape[0])):
+        assert evaluation.recall_at_k(keys, order[:, d], [d, d + 1]).recall_at == {d: 0.0, d + 1: 1.0}
     return int((np.diff(np.sort(scores, axis=1), axis=1) == 0).any(axis=1).sum())
 
 
@@ -329,18 +313,16 @@ LOW_NAN = _float(0x7FF0_0000_0000_0001)  # a NaN whose payload is only the lowes
 
 @st.composite
 def score_matrices(draw):
-    """Raw score rows drawn from a pool built to stress the packed keys.
+    """Raw key rows drawn from a pool built to stress the counted rank.
 
     The pool holds exact ties, both zeros, NaNs of either sign and with two
-    payloads, NaNs of either sign whose payload lies only in the lowest bit
-    (their truncated keys are infinities), both infinities, and a value with
-    neighbours 1 to 2**bits ulps away: distinct scores that can share a
-    truncated key.
+    payloads, NaNs of either sign whose payload lies only in the lowest bit,
+    both infinities, and a value with neighbours 1 to 2**bits ulps away:
+    distinct keys that a comparison must still tell apart.
     """
     k = draw(st.integers(0, 7))
     g = draw(st.sampled_from(sorted({1, 2, 2**k, 2**k + 1})))
-    block = max(1, evaluation._BLOCK_BYTES // (8 * g))  # `_rank_rows`' rows per block
-    n = draw(st.integers(1, 3 * block + 1))
+    n = draw(st.integers(1, 6))
     bits = max(1, (g - 1).bit_length())
     anchor = draw(st.floats(-2.0, 2.0, allow_subnormal=True))
     anchor_bits = int(np.array([anchor]).view(np.int64)[0])
@@ -356,48 +338,57 @@ def score_matrices(draw):
     return neg
 
 
+# 64 distinct keys within 64 ulps of 0.5, in descending order, between a spread row and a tied one
+NEAR_TIES = np.vstack([
+    np.linspace(0.0, 1.0, 64),
+    np.array([0x3FE0_0000_0000_0000 + 63 - j for j in range(64)], dtype=np.int64).view(np.float64),
+    np.zeros(64),
+])
+
+
+def counted_ranks(neg):
+    """The counted rank of every column of every row, that column as the target."""
+    return np.array([[evaluation._target_rank(row, t) for t in range(neg.shape[1])] for row in neg])
+
+
 @settings(max_examples=300, deadline=None)
 @given(score_matrices())
 @example(np.array([[0.5, 0.0, -1.0, -0.0]]))  # -0.0 and 0.0 tie
-@example(np.array([[-LOW_NAN, 0.5, 0.3]]))  # the NaN's key at id 0 is -inf
+@example(np.array([[-LOW_NAN, 0.5, 0.3]]))
+@example(np.array([[np.inf, 1.0, np.inf, -np.inf, np.nan, -np.inf, -np.nan]]))
 def test_rank_rows_equals_stable_argsort(neg):
-    got = evaluation._rank_rows(neg.copy())
-    assert got.dtype == np.intp
-    assert (got == np.argsort(neg, axis=1, kind="stable")).all()
+    # every column of every row as the target, against its place in the stable argsort
+    assert (counted_ranks(neg) == np.argsort(np.argsort(neg, axis=1, kind="stable"), axis=1)).all()
 
 
 def test_rank_rows_near_tie_row():
-    # 64 distinct scores within 64 ulps of 0.5, descending: every truncated key
-    # is the same, so the row is only right if it is sorted again, stably
-    g = 64
-    row = np.array([0x3FE0_0000_0000_0000 + g - 1 - j for j in range(g)], dtype=np.int64).view(np.float64)
-    assert np.unique(row).size == g
-    neg = np.vstack([np.linspace(0.0, 1.0, g), row, np.zeros(g)])
-    assert (evaluation._rank_rows(neg.copy()) == np.argsort(neg, axis=1, kind="stable")).all()
-    assert (evaluation._rank_rows(neg.copy())[1] == np.arange(g)[::-1]).all()
-
-
-def test_rank_rows_writes_over_its_argument():
-    buf = np.random.default_rng(0).standard_normal((20, 33))
-    assert np.shares_memory(evaluation._rank_rows(buf), buf)
+    # 64 distinct keys within 64 ulps of 0.5, descending: only exact comparisons tell them apart
+    assert np.unique(NEAR_TIES[1]).size == NEAR_TIES.shape[1]
+    ranks = counted_ranks(NEAR_TIES)
+    assert (ranks == np.argsort(np.argsort(NEAR_TIES, axis=1, kind="stable"), axis=1)).all()
+    assert (ranks[1] == np.arange(NEAR_TIES.shape[1])[::-1]).all()
 
 
 def test_rank_gallery_holds_one_matrix_and_keeps_inputs():
-    # the ranking reuses the score matrix: the traced peak stays near 8 bytes per pair
+    # one key matrix, 8 bytes a scored pair; counting the ranks adds nothing of its size
     n, g = 400, 5000
     rng = np.random.default_rng(1)
     params = T.init_params(8, 4, 16, seed=1)
     refs, mods, gal = rng.standard_normal((n, 8)), rng.standard_normal((n, 8)), rng.standard_normal((g, 8))
+    true_ids = rng.integers(g, size=n)
     kept = [refs.copy(), mods.copy(), gal.copy()]
     tracemalloc.start()
     try:
-        ranked = evaluation.rank_gallery(params, refs, mods, gal)
+        keys = evaluation.rank_gallery(params, refs, mods, gal)
+        digest = hashlib.sha256(keys).digest()
+        report = evaluation.recall_at_k(keys, true_ids, (1, 10, g))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ranked.shape == (n, g)
+    assert keys.shape == (n, g) and report.recall_at[g] == 1.0
     assert peak <= 1.25 * 8 * n * g
     assert all((a == b).all() for a, b in zip((refs, mods, gal), kept))
+    assert hashlib.sha256(keys).digest() == digest
 
 
 def build_subsets_by_list(true_target_ids, n_gallery, seed, size):
