@@ -248,10 +248,7 @@ def estimate(f_c, f_t, sim, cfg, rng=None, softmax=None):
                               use_transition_rate="no_tr" not in cfg.ablations)
 
 
-def loss_and_grad(
-    params, refs, mods, tgts, memory, cfg, rng=None,
-    frozen_estimates=None, frozen_mask=None,
-):
+def loss_and_grad(params, refs, mods, tgts, memory, cfg, rng=None):
     """One pass of the per-iteration training body.
 
     Returns (LossBreakdown, grads dict keyed like params.arrays(),
@@ -262,10 +259,7 @@ def loss_and_grad(
     (`mke.select_standard`) and the rank and KL terms their p.
 
     Estimates, masks, margins, the standard-sample choice, and all cached
-    history are constants with respect to the gradient. `frozen_estimates`
-    / `frozen_mask` replace the estimates and the mask for every term (used by
-    finite-difference checks, which must not differentiate through stop-gradient
-    paths); under `no_mke` / `no_mask` those are all ones, so pin all ones there.
+    history are constants with respect to the gradient.
     """
     refs = np.asarray(refs, dtype=np.float64)
     mods = np.asarray(mods, dtype=np.float64)
@@ -289,14 +283,12 @@ def loss_and_grad(
     p = softmax[1] / softmax[2]
 
     # --- cleanliness estimation and chrono-synergia mask (stop-gradient) ---
-    estimates = estimate(f[0], f[1], sim, cfg, rng, softmax) if frozen_estimates is None else (
-        np.asarray(frozen_estimates, dtype=np.float64))
+    estimates = estimate(f[0], f[1], sim, cfg, rng, softmax)
     outliers = dpl.dbscan_1d(estimates, cfg.dbscan_eps, cfg.min_pts())
     # no previous outliers mask nothing; without chrono-synergia an outlier now is masked now
     no_cs = "no_cs" in cfg.ablations or "no_history" in cfg.ablations
     prev = None if "no_mask" in cfg.ablations else outliers if no_cs else memory.prev_outliers
-    mask = dpl.chrono_mask(outliers, prev, b) if frozen_mask is None else (
-        np.asarray(frozen_mask, dtype=np.float64))
+    mask = dpl.chrono_mask(outliers, prev, b)
 
     ones = np.ones(b)
     mask_rank = ones if "no_mask_rank" in cfg.ablations else mask
@@ -530,13 +522,13 @@ def save_checkpoint(ckpt: Checkpoint, path):
 def load_checkpoint(path) -> Checkpoint:
     """Read a `save_checkpoint` file; a malformed one raises FormatError.
 
-    Beyond the byte layout, the structure must hold together: every array
-    is present, the integer fields are integers, each parameter's shape
-    agrees with q_tokens, dim and the input width, each AdamW moment has its
-    parameter's shape (the flat packing relies on that), outliers are
-    stored only for batches below n_memories, each memory holds a (B, B)
-    sim, a (B,) est and mask and distinct outliers in [0, B), and every
-    array is finite.
+    Beyond the byte layout, the structure must hold together: the RNG state
+    is one a PCG64 generator takes, every array is present and no other is,
+    the integer fields are integers, each parameter's shape agrees with
+    q_tokens, dim and the input width, each AdamW moment has its parameter's
+    shape (the flat packing relies on that), outliers are stored only for
+    batches below n_memories, each memory holds a (B, B) sim, a (B,) est and
+    mask and distinct outliers in [0, B), and every array is finite.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -556,6 +548,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         meta = json.loads(take(struct.unpack("<Q", take(8))[0]))
         rng_state = take(struct.unpack("<Q", take(8))[0])
+        np.random.PCG64().state = json.loads(rng_state)  # as a resume sets it
         arrays = {}
         for key in sorted(meta["shapes"]):
             shape = tuple(meta["shapes"][key])
@@ -568,14 +561,17 @@ def load_checkpoint(path) -> Checkpoint:
         return _checkpoint_from(path, meta, arrays, rng_state)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, struct.error) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, struct.error) as exc:
         raise FormatError(f"{path}: corrupt checkpoint: {exc!r}") from exc
 
 
 def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
+    read = set()
+
     def array(key):
         if key not in arrays:
             raise FormatError(f"{path}: missing array {key!r}")
+        read.add(key)
         return arrays[key]
 
     def integer(key):
@@ -620,6 +616,8 @@ def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
                 and len(set(out)) == len(out)):
             raise FormatError(f"{path}: batch {bid} outliers {out!r} are not distinct integers in [0, {b})")
         memories[bid] = dpl.BatchMemory(sim, est, frozenset(out), mask)
+    if arrays.keys() - read:
+        raise FormatError(f"{path}: unexpected arrays {sorted(arrays.keys() - read)}")
     return Checkpoint(
         params=params,
         epoch=integer("epoch"),

@@ -398,7 +398,10 @@ def test_checkpoint_bad_bytes_exit_4(tmp_path, capsys, command, edit, says):
 
 
 def _rewrite_checkpoint(path, edit):
-    """Rewrite a checkpoint file in place after `edit(meta, arrays)`; arrays are raw bytes."""
+    """Rewrite a checkpoint file in place after `edit(meta, arrays)`; arrays are raw bytes.
+
+    An edit that returns bytes puts them in place of the RNG state.
+    """
     blob = path.read_bytes()
     off = 8
 
@@ -410,7 +413,7 @@ def _rewrite_checkpoint(path, edit):
 
     meta, rng_state = json.loads(take()), take()
     arrays = {key: take() for key in sorted(meta["shapes"])}
-    edit(meta, arrays)
+    rng_state = edit(meta, arrays) or rng_state
     chunks = [json.dumps(meta).encode(), rng_state] + [arrays[k] for k in sorted(meta["shapes"])]
     path.write_bytes(blob[:8] + b"".join(struct.pack("<Q", len(c)) + c for c in chunks))
 
@@ -448,6 +451,16 @@ def _mask_one_short(meta, arrays):
     arrays["mem.0.mask"] = arrays["mem.0.mask"][:-8]
 
 
+def _junk_array(meta, arrays):
+    meta["shapes"]["junk"] = [1]
+    arrays["junk"] = struct.pack("<d", 0.0)
+
+
+def _drop_outliers_of_batch_2(meta, arrays):
+    # its three memory arrays stay in the file, and nothing would read them
+    del meta["outliers"]["2"]
+
+
 def _outliers_of_batch_0(*ids):
     return lambda meta, arrays: meta["outliers"].update({"0": list(ids)})
 
@@ -470,10 +483,14 @@ def _outliers_of_batch_0(*ids):
     (_outliers_of_batch_0("a"), "batch 0 outliers ['a'] are not"),
     (_outliers_of_batch_0(1.5), "batch 0 outliers [1.5] are not"),
     (_outliers_of_batch_0(1, 1), "batch 0 outliers [1, 1] are not distinct"),
+    (_junk_array, "unexpected arrays ['junk']"),
+    (_drop_outliers_of_batch_2, "unexpected arrays ['mem.2.est', 'mem.2.mask', 'mem.2.sim']"),
+    (lambda meta, arrays: b"{}", "corrupt checkpoint"),
+    (lambda meta, arrays: b'{"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}}', "corrupt checkpoint"),
 ], ids=["missing-array", "text-opt-step", "outliers-past-n-memories", "w_c-row-short",
         "null-opt-step", "null-n-memories", "null-outliers", "nan-w_c", "sim-4x16", "mask-one-short",
         "outlier-negative", "outlier-past-batch", "outlier-true", "outlier-text", "outlier-float",
-        "outlier-twice"])
+        "outlier-twice", "junk-array", "unread-memory", "empty-rng-state", "negative-rng-state"])
 @pytest.mark.parametrize("command", ["eval", "detect"])
 def test_malformed_checkpoint_structure_exit_4(tmp_path, capsys, command, edit, says):
     cfg_path, data, run = full_pipeline(tmp_path)

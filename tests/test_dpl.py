@@ -1,34 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_acceptance import dbscan_oracle as acceptance_dbscan_oracle
-from test_acceptance import kl_oracle as acceptance_kl_oracle
-from test_acceptance import rank_oracle as acceptance_rank_oracle
+from oracles import dbscan_oracle, kl_oracle, rank_oracle
 
 from habit import dpl, mke
 from habit.errors import DegenerateBatch, DimensionMismatch, DomainError
-
-
-# --- brute-force DBSCAN oracle: reachability closure ---
-def dbscan_oracle(values, eps, min_pts):
-    n = len(values)
-    neigh = [
-        {j for j in range(n) if abs(values[i] - values[j]) <= eps} for i in range(n)
-    ]
-    core = {i for i in range(n) if len(neigh[i]) >= min_pts}
-    reached = set()
-    for c in core:
-        if c in reached:
-            continue
-        stack = [c]
-        while stack:
-            cur = stack.pop()
-            if cur in reached:
-                continue
-            reached.add(cur)
-            if cur in core:
-                stack.extend(neigh[cur] - reached)
-    return frozenset(range(n)) - reached
 
 
 def test_dbscan_identical_values_no_outliers():
@@ -45,16 +21,6 @@ def test_dbscan_lone_low_estimate_flagged():
     assert got == dbscan_oracle([0.90, 0.91, 0.92, 0.30], 0.05, 2)
 
 
-def test_dbscan_matches_oracle_on_random_instances():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 65))
-        values = rng.uniform(0, 1, size=n)
-        eps = float(rng.uniform(0.005, 0.2))
-        min_pts = int(rng.integers(1, 8))
-        assert dpl.dbscan_1d(values, eps, min_pts) == dbscan_oracle(values, eps, min_pts)
-
-
 @st.composite
 def _dbscan_cases(draw):
     eps = draw(st.sampled_from([0.125, 0.1, 0.05]) | st.floats(0.001, 0.5))
@@ -68,7 +34,7 @@ def _dbscan_cases(draw):
 @given(case=_dbscan_cases())
 def test_dbscan_equals_acceptance_oracle_property(case):
     values, eps, min_pts = case
-    assert dpl.dbscan_1d(values, eps, min_pts) == acceptance_dbscan_oracle(values, eps, min_pts)
+    assert dpl.dbscan_1d(values, eps, min_pts) == dbscan_oracle(values, eps, min_pts)
 
 
 def test_chrono_mask_intersection():
@@ -94,21 +60,6 @@ def test_chrono_mask_membership_and_monotonicity():
         smaller = frozenset(list(cur)[: len(cur) // 2])
         mask2 = dpl.chrono_mask(smaller, prev, 32)
         assert np.all(mask2 >= mask)
-
-
-def kl_oracle(s_now, s_prev, m_now, m_prev, tau):
-    def softmax(v):
-        e = np.exp(v / tau - max(v / tau))
-        return e / e.sum()
-
-    rows = [b for b in range(len(m_now)) if m_now[b] == 1 and m_prev[b] == 1]
-    if not rows:
-        return 0.0
-    total = 0.0
-    for b in rows:
-        p, q = softmax(s_now[b]), softmax(s_prev[b])
-        total += sum(p[i] * (np.log(p[i]) - np.log(q[i])) for i in range(len(p)))
-    return total / len(rows)
 
 
 def test_kl_identical_is_zero():
@@ -198,17 +149,6 @@ def test_soft_margin_masked_row_invariance():
     assert dpl.soft_margin_loss(s2, e, m, 0.2) == base
 
 
-def rank_oracle(s, m, tau):
-    b = s.shape[0]
-    total = 0.0
-    for i in range(b):
-        z = np.exp(s[i] / tau - max(s[i] / tau))
-        p = z / z.sum()
-        inner = sum(-np.log(1.0 - p[j]) for j in range(b) if j != i)
-        total += m[i] * inner / (b - 1)
-    return total / b
-
-
 def test_rank_fully_masked():
     rng = np.random.default_rng(6)
     s = rng.uniform(-1, 1, size=(3, 3))
@@ -265,12 +205,12 @@ def test_rank_and_kl_terms_value_and_gradient():
             m_now[-1] = m_prev[-1] = 1.0  # a row kept by both masks
 
             value, g = dpl._rank_term(dpl._row_softmax(s, 0.1), m_now, 0.1)
-            assert abs(value - acceptance_rank_oracle(s, m_now, 0.1)) < 1e-12
+            assert abs(value - rank_oracle(s, m_now, 0.1)) < 1e-12
             fd = central_difference(lambda x: dpl.robust_contrastive_loss(x, m_now, 0.1), s)
             assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
             value, g = dpl._kl_term(dpl._row_softmax(s, 0.1), prev, m_now, m_prev, 0.1)
-            assert abs(value - acceptance_kl_oracle(s, prev, m_now, m_prev, 0.1)) < 1e-12
+            assert abs(value - kl_oracle(s, prev, m_now, m_prev, 0.1)) < 1e-12
             fd = central_difference(lambda x: dpl.kl_consistency(x, prev, m_now, m_prev, 0.1), s)
             assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 

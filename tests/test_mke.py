@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import mk_oracle
 
 from habit import features, kernels, mke
 from habit.errors import DimensionMismatch
@@ -15,27 +16,6 @@ def pooled(token_mats):
     """Mean-pooled unit vector of each (Q, D) token matrix, stacked."""
     v = np.stack([f.mean(axis=0) for f in token_mats])
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def joint_oracle(fc, ft, tau):
-    qc, qt = fc.shape[0], ft.shape[0]
-    cells = np.empty((qc, qt))
-    for i in range(qc):
-        for j in range(qt):
-            cells[i, j] = np.exp(np.dot(fc[i], ft[j]) / tau)
-    return cells / cells.sum()
-
-
-def mk_oracle(fc, ft, tau):
-    p = joint_oracle(fc, ft, tau)
-    prow = [p[i].sum() for i in range(p.shape[0])]
-    pcol = [p[:, j].sum() for j in range(p.shape[1])]
-    total = 0.0
-    for i in range(p.shape[0]):
-        for j in range(p.shape[1]):
-            if p[i, j] > 0:
-                total += p[i, j] * np.log(p[i, j] / (prow[i] * pcol[j]))
-    return total
 
 
 def test_mutual_knowledge_dimension_mismatch():
@@ -100,23 +80,6 @@ def test_cleanliness_standard_is_exactly_one():
     rng = np.random.default_rng(7)
     fc, ft = random_tokens(rng), random_tokens(rng)
     assert mke.cleanliness(fc, ft, fc, ft, 0.1) == 1.0
-
-
-def test_cleanliness_matches_explicit_recomputation():
-    rng = np.random.default_rng(8)
-    for _ in range(8):
-        fc, ft = random_tokens(rng), random_tokens(rng)
-        fcs, fts = random_tokens(rng), random_tokens(rng)
-        mk_std = mk_oracle(fcs, fts, 0.1)
-        tr = lambda mk: abs(mk_std - mk) / max(mk_std, 1e-8)
-        expected = 1.0 / (
-            1.0
-            + tr(mk_oracle(fc, ft, 0.1))
-            + abs(tr(mk_oracle(fc, fts, 0.1)) - tr(mk_oracle(ft, fcs, 0.1)))
-        )
-        got = mke.cleanliness(fc, ft, fcs, fts, 0.1)
-        assert abs(got - expected) < 1e-10
-        assert 0.0 < got <= 1.0
 
 
 def test_estimate_batch_single_sample():
