@@ -603,10 +603,12 @@ def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
     outliers = meta.get("outliers")
     if not isinstance(outliers, dict):
         raise FormatError(f"{path}: outliers {outliers!r} is not a batch id map")
+    # only the keys save_checkpoint writes: int() would read "01" or "+1" as batch 1 again
+    ids = {str(bid): bid for bid in memories}
     for bid_str, out in outliers.items():
-        bid = int(bid_str)
-        if bid not in memories:
-            raise FormatError(f"{path}: outliers for batch {bid_str} of {n_memories} batches")
+        bid = ids.get(bid_str)
+        if bid is None:
+            raise FormatError(f"{path}: outliers for batch {bid_str!r} of {n_memories} batches")
         sim, est, mask = array(f"mem.{bid}.sim"), array(f"mem.{bid}.est"), array(f"mem.{bid}.mask")
         b = sim.shape[0] if sim.ndim else 0
         if (sim.shape, est.shape, mask.shape) != ((b, b), (b,), (b,)):

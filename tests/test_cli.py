@@ -59,38 +59,6 @@ def test_gen_rerun_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_gen_invalid_sigma_exit_2(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, {"gen": {"sigma": 1.5}})
-    assert cli.main(["gen", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
-    assert "sigma" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value, says", [
-    ("q_tokens", 0, "q_tokens must be >= 1"),
-    ("q_tokens", -1, "q_tokens must be >= 1"),
-    ("dim", 0, "dim must be >= 1"),
-    ("dbscan_eps", float("nan"), "dbscan_eps must be finite"),
-    ("kappa", float("nan"), "kappa must be finite"),
-    ("learning_rate", float("inf"), "learning_rate must be finite"),
-    ("weight_decay", -1.0, "weight_decay must be >= 0"),
-    ("kappa", -1.0, "kappa must be >= 0"),
-    ("gamma", -0.5, "gamma must be >= 0"),
-    ("dbscan_min_pts", -3, "dbscan_min_pts must be >= 0"),
-], ids=["q_tokens-0", "q_tokens--1", "dim-0", "dbscan_eps-nan", "kappa-nan", "learning_rate-inf",
-        "weight_decay--1.0", "kappa--1.0", "gamma--0.5", "dbscan_min_pts--3"])
-def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
-    # json writes and reads NaN and Infinity; a NaN or a negative weight would
-    # otherwise train on silently or stop as a numeric error
-    data = str(tmp_path / "data")
-    assert cli.main(["gen", "--config", write_config(tmp_path), "--out", data]) == 0
-    cfg_path = write_config(tmp_path, {"train": {key: value}})
-    code = cli.main(["train", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "run")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert says in err and "Traceback" not in err
-    assert not (tmp_path / "run").exists()
-
-
 @pytest.mark.parametrize("section, key, value, says", [
     ("train", "dbscan_eps", float("nan"), "dbscan_eps must be finite"),
     ("train", "q_tokens", 0, "q_tokens must be >= 1"),
@@ -106,15 +74,29 @@ def test_train_bad_number_exit_2(tmp_path, capsys, key, value, says):
     ("train", "ablations", [["no_kl"]], "train.ablations must list flag names"),
     ("train", "ablations", [1, "no_kl"], "train.ablations must list flag names"),
     ("gen", "n_attrs", 2, "attribute space too small for distinct gallery entries"),
+    ("train", "q_tokens", -1, "q_tokens must be >= 1"),
+    ("train", "dim", 0, "dim must be >= 1"),
+    ("train", "kappa", float("nan"), "kappa must be finite"),
+    ("train", "learning_rate", float("inf"), "learning_rate must be finite"),
+    ("train", "weight_decay", -1.0, "weight_decay must be >= 0"),
+    ("train", "kappa", -1.0, "kappa must be >= 0"),
+    ("train", "gamma", -0.5, "gamma must be >= 0"),
+    ("train", "dbscan_min_pts", -3, "dbscan_min_pts must be >= 0"),
+    ("gen", "sigma", 1.5, "sigma=1.5 outside [0, 1]"),
+    ("gen", "seed", -1, "seed must be >= 0"),
 ], ids=["train.dbscan_eps-nan", "train.q_tokens-0", "split.test_fraction-nan",
         "gen.unmentioned_noise_std-inf", "train.seed--1", "split.seed--2", "eval.subset_seed--1",
         "gen.n_triplets--1", "split.test_fraction-1.5", "eval.subset_size-0", "eval.ks-0",
-        "train.ablations-list", "train.ablations-int", "gen.n_attrs-2"])
+        "train.ablations-list", "train.ablations-int", "gen.n_attrs-2", "train.q_tokens--1",
+        "train.dim-0", "train.kappa-nan", "train.learning_rate-inf", "train.weight_decay--1.0",
+        "train.kappa--1.0", "train.gamma--0.5", "train.dbscan_min_pts--3", "gen.sigma-1.5",
+        "gen.seed--1"])
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "detect"])
-def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section, key, value, says):
+def test_bad_config_exit_2_for_every_command(tmp_path, capsys, small_run, command, section, key, value, says):
     # one check refuses the whole config for every command, sections it does
-    # not read included, before it reads data or writes a file
-    _, data, run = full_pipeline(tmp_path)
+    # not read included, before it reads data or writes a file; json writes and
+    # reads NaN and Infinity, which would otherwise train on silently
+    data, run = small_run
     cfg_path = write_config(tmp_path, {section: {key: value}})
     out = tmp_path / "out"
     argv = [command, "--config", cfg_path, "--out", str(out)]
@@ -128,12 +110,10 @@ def test_bad_config_exit_2_for_every_command(tmp_path, capsys, command, section,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [True, False], ids=["flag", "gen.seed"])
-def test_gen_negative_seed_exit_2(tmp_path, capsys, flag):
-    # numpy's generators take no negative seed
-    argv = ["--seed", "-1"] if flag else ["--config", write_config(tmp_path, {"gen": {"seed": -1}})]
+def test_gen_negative_seed_flag_exit_2(tmp_path, capsys):
+    # numpy's generators take no negative seed; gen.seed is a row of the test above
     out = tmp_path / "out"
-    assert cli.main(["gen", *argv, "--out", str(out)]) == 2
+    assert cli.main(["gen", "--seed", "-1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "seed must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
@@ -160,9 +140,9 @@ def _int_and_float_keys():
                 yield section, key, -1 if type(value) is int else float("nan")
 
 
-def test_every_bad_number_exits_2(tmp_path, capsys):
+def test_every_bad_number_exits_2(tmp_path, capsys, small_run):
     # a bad key is refused with exit 2 by every command, whether it reads the key or not
-    _, data, run = full_pipeline(tmp_path)
+    data, run = small_run
     extra = {"gen": [], "train": ["--data", data], "eval": ["--data", data, "--ckpt", f"{run}/checkpoint.bin"]}
     extra["detect"] = extra["eval"]
     for i, (section, key, value) in enumerate(_int_and_float_keys()):
@@ -188,6 +168,12 @@ def full_pipeline(tmp_path, overrides=None):
     assert cli.main(["gen", "--config", cfg_path, "--out", data]) == 0
     assert cli.main(["train", "--config", cfg_path, "--data", data, "--out", run]) == 0
     return cfg_path, data, run
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The data and run directories of the `SMALL` pipeline, built once; tests only read them."""
+    return full_pipeline(tmp_path_factory.mktemp("small"))[1:]
 
 
 def test_train_outputs_and_determinism(tmp_path):
@@ -236,9 +222,9 @@ def test_eval_reports_recall(tmp_path):
     ([1, 5, 10], "1,two"), ([1, 5, 10], "0"), ([1, 5, 10], ","),
     (["a"], None), ([1.5], None), ([True], None), ([], None),
 ], ids=["flag-two", "flag-0", "flag-empty", "config-a", "config-1.5", "config-true", "config-empty"])
-def test_eval_bad_ks_exit_2(tmp_path, capsys, config_ks, flag_ks):
+def test_eval_bad_ks_exit_2(tmp_path, capsys, small_run, config_ks, flag_ks):
     # eval.ks or --ks must list at least one K, each an int >= 1; a float or a bool is not one
-    _, data, run = full_pipeline(tmp_path)
+    data, run = small_run
     cfg_path = write_config(tmp_path, {"eval": {"ks": config_ks}})
     argv = ["eval", "--config", cfg_path, "--ckpt", f"{run}/checkpoint.bin", "--data", data,
             "--out", str(tmp_path / "e")]
@@ -247,10 +233,10 @@ def test_eval_bad_ks_exit_2(tmp_path, capsys, config_ks, flag_ks):
 
 
 @pytest.mark.parametrize("size, code", [(0, 2), (60, 0), (61, 2)])
-def test_eval_subset_size_bounds(tmp_path, capsys, size, code):
+def test_eval_subset_size_bounds(tmp_path, capsys, small_run, size, code):
     # a subset holds the target plus size - 1 distinct distractors from the
     # 60-entry gallery; a size outside 1..60 is a config error, not a hang
-    _, data, run = full_pipeline(tmp_path)
+    data, run = small_run
     cfg_path = write_config(tmp_path, {"eval": {"subset_size": size}})
     out = str(tmp_path / "e")
     assert cli.main(
@@ -461,6 +447,10 @@ def _drop_outliers_of_batch_2(meta, arrays):
     del meta["outliers"]["2"]
 
 
+def _outliers_under_key(key):
+    return lambda meta, arrays: meta["outliers"].update({key: [0]})
+
+
 def _outliers_of_batch_0(*ids):
     return lambda meta, arrays: meta["outliers"].update({"0": list(ids)})
 
@@ -469,6 +459,11 @@ def _outliers_of_batch_0(*ids):
     (_drop_w_c, "missing array 'w_c'"),
     (_text_opt_step, "opt_step 'many' is not an integer"),
     (_outliers_past_n_memories, "outliers for batch"),
+    # keys that int() reads as batch 0 or 1, but that save_checkpoint never writes
+    (_outliers_under_key("01"), "outliers for batch '01' of"),
+    (_outliers_under_key(" 1"), "outliers for batch ' 1' of"),
+    (_outliers_under_key("+1"), "outliers for batch '+1' of"),
+    (_outliers_under_key("-0"), "outliers for batch '-0' of"),
     (_w_c_one_row_short, "w_c has shape"),
     (lambda meta, arrays: meta.update(opt_step=None), "opt_step None is not an integer"),
     (lambda meta, arrays: meta.update(n_memories=None), "n_memories None is not an integer"),
@@ -487,7 +482,8 @@ def _outliers_of_batch_0(*ids):
     (_drop_outliers_of_batch_2, "unexpected arrays ['mem.2.est', 'mem.2.mask', 'mem.2.sim']"),
     (lambda meta, arrays: b"{}", "corrupt checkpoint"),
     (lambda meta, arrays: b'{"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}}', "corrupt checkpoint"),
-], ids=["missing-array", "text-opt-step", "outliers-past-n-memories", "w_c-row-short",
+], ids=["missing-array", "text-opt-step", "outliers-past-n-memories", "key-01", "key-space-1",
+        "key-plus-1", "key-minus-0", "w_c-row-short",
         "null-opt-step", "null-n-memories", "null-outliers", "nan-w_c", "sim-4x16", "mask-one-short",
         "outlier-negative", "outlier-past-batch", "outlier-true", "outlier-text", "outlier-float",
         "outlier-twice", "junk-array", "unread-memory", "empty-rng-state", "negative-rng-state"])
@@ -810,10 +806,9 @@ NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 @pytest.fixture(scope="module")
-def small_files(tmp_path_factory):
+def small_files(small_run):
     """The bytes of the `SMALL` pipeline's inputs: its config, data and checkpoint."""
-    root = tmp_path_factory.mktemp("small")
-    full_pipeline(root)
+    root = Path(small_run[0]).parent
     return {name: (root / where / name).read_bytes() for name, where in FUZZ_FILES.items()}
 
 

@@ -69,7 +69,7 @@ def late_targets(n_queries=400, n_gallery=3000, seed=0):
     return ranked, ranked[np.arange(n_queries), depth]
 
 
-def test_recall_block_scan_missing_target_in_late_row():
+def test_recall_missing_target_in_late_row():
     ranked, true_ids = late_targets()
     true_ids[[350, 399]] = -1  # no gallery id; 350 is the first such query
     with pytest.raises(MissingTarget) as got:
@@ -356,12 +356,12 @@ def counted_ranks(neg):
 @example(np.array([[0.5, 0.0, -1.0, -0.0]]))  # -0.0 and 0.0 tie
 @example(np.array([[-LOW_NAN, 0.5, 0.3]]))
 @example(np.array([[np.inf, 1.0, np.inf, -np.inf, np.nan, -np.inf, -np.nan]]))
-def test_rank_rows_equals_stable_argsort(neg):
+def test_target_rank_equals_stable_argsort(neg):
     # every column of every row as the target, against its place in the stable argsort
     assert (counted_ranks(neg) == np.argsort(np.argsort(neg, axis=1, kind="stable"), axis=1)).all()
 
 
-def test_rank_rows_near_tie_row():
+def test_target_rank_near_tie_row():
     # 64 distinct keys within 64 ulps of 0.5, descending: only exact comparisons tell them apart
     assert np.unique(NEAR_TIES[1]).size == NEAR_TIES.shape[1]
     ranks = counted_ranks(NEAR_TIES)

@@ -10,7 +10,6 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
-from test_cli import SMALL
 
 from habit import cli, evaluation, synth, train
 
@@ -26,9 +25,10 @@ def load_checks():
 
 def test_detect_and_recall_pass_the_benchmark_checks():
     checks = load_checks()
-    records, gallery = synth.generate(synth.GenConfig(**SMALL["gen"]))
-    train_records, test_records = synth.split(records, SMALL["split"]["test_fraction"], SMALL["split"]["seed"])
-    tcfg = train.TrainConfig(**SMALL["train"])
+    records, gallery = synth.generate(synth.GenConfig(
+        n_triplets=40, n_gallery=60, d_in=10, n_attrs=5, sigma=0.3, unmentioned_noise_std=0.05, seed=11))
+    train_records, test_records = synth.split(records, 0.25, 11)
+    tcfg = train.TrainConfig(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=11)
     params = train.train(train_records, gallery, tcfg)[0].params
 
     cleanliness, mask, covered = cli.detect_masks(params, train_records, gallery, tcfg)
@@ -40,7 +40,7 @@ def test_detect_and_recall_pass_the_benchmark_checks():
     mods = np.stack([r.mod_vec for r in test_records])
     gal = np.stack([g.vec for g in gallery])
     true_ids = [r.target_id for r in test_records]
-    ks = SMALL["eval"]["ks"]
+    ks = [1, 5, 10]
     report = evaluation.recall_at_k(evaluation.rank_gallery(params, refs, mods, gal), true_ids, ks)
     scores = evaluation.pooled_queries(params, refs, mods) @ evaluation.pooled_targets(params, gal).T
     assert checks.check_recall(report, checks.rank_of_targets(scores, true_ids), ks) == []

@@ -108,18 +108,6 @@ def encode_out_of_place(w, b, x, q, d):
     return f, rn, vn, vmean / vn[:, None]
 
 
-@pytest.mark.parametrize("rows", [1, 32, 3584])
-def test_encode_in_place_equals_out_of_place(rows):
-    # the reference shapes: Q 4, D 16, composed inputs of 2 x 16
-    params = T.init_params(16, 4, 16, seed=rows)
-    args = (params.w_c, params.b_c, np.random.default_rng(rows).standard_normal((rows, 32)))
-    before = [a.copy() for a in args]
-    got = [a[0] for a in T._encode_batch([args], 4, 16)]
-    assert [a.tobytes() for a in args] == [a.tobytes() for a in before]
-    want = encode_out_of_place(*before, 4, 16)
-    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
-
-
 def backprop_out_of_place(d_pooled, f, rn, vn, pooled, x, q, d):
     """One encoder's backward pass with a fresh array at each step: the bits the stacked one must give."""
     dv = (d_pooled - pooled * np.einsum("bd,bd->b", pooled, d_pooled)[:, None]) / vn[:, None]
@@ -135,7 +123,8 @@ def as_bits(arrays):
 
 # both encoders share Q and D, so composed and target token counts cannot differ here
 @pytest.mark.parametrize("q, d", [(4, 16), (3, 5)])
-@pytest.mark.parametrize("rows", [1, 2, 13, 32])
+# 3584 = 112 x 32: the full batches that detect encodes in one call on 3600 records
+@pytest.mark.parametrize("rows", [1, 2, 13, 32, 3584])
 def test_encoder_stack_equals_per_encoder_expressions(rows, q, d):
     # the training pair: a composed encoder of input width 2 x 16 and a target one of 16
     params = T.init_params(16, q, d, seed=rows)
@@ -506,15 +495,6 @@ def test_train_zero_epochs_returns_init():
     assert metrics == []
 
 
-def test_train_deterministic_checkpoints(tmp_path):
-    records, gallery = tiny_dataset(sigma=0.25)
-    cfg = small_cfg(epochs=3, batch_size=8, q_tokens=2, dim=6, seed=22)
-    for run in ("a", "b"):
-        ckpt, _ = T.train(records, gallery, cfg)
-        T.save_checkpoint(ckpt, tmp_path / f"ck_{run}.bin")
-    assert (tmp_path / "ck_a.bin").read_bytes() == (tmp_path / "ck_b.bin").read_bytes()
-
-
 # SHA-256 of the checkpoint and of the metrics rows of known-good runs, one
 # case with no flag, one for each ablation flag alone and one with empty memories
 PINNED_RUNS = {
@@ -719,24 +699,14 @@ def test_adamw_step_equals_per_array_loop():
         # gradients over several decades, so that rounding differs between orders
         grads = {k: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3, size=a.shape)
                  for k, a in ref.items()}
+        before = {k: g.tobytes() for k, g in grads.items()}
         T.adamw_step(params, grads, state, lr=3e-3, weight_decay=0.05)
+        assert {k: g.tobytes() for k, g in grads.items()} == before, t  # grads stay unwritten
         adamw_loop(ref, grads, m, v, t, lr=3e-3, weight_decay=0.05)
         for key in T.PARAM_NAMES:
             assert (params.arrays()[key] == ref[key]).all(), (t, key)
             assert (state.m[key] == m[key]).all() and (state.v[key] == v[key]).all(), (t, key)
     assert state.step == 20
-
-
-def test_adamw_step_leaves_grads_unwritten():
-    params = T.init_params(5, 3, 4, seed=7)
-    state = T.AdamWState(m={k: np.zeros_like(a) for k, a in params.arrays().items()},
-                         v={k: np.zeros_like(a) for k, a in params.arrays().items()})
-    rng = np.random.default_rng(8)
-    grads = {k: rng.standard_normal(a.shape) for k, a in params.arrays().items()}
-    before = {k: g.copy() for k, g in grads.items()}
-    for _ in range(3):
-        T.adamw_step(params, grads, state, lr=3e-3, weight_decay=0.05)
-    assert all(grads[k].tobytes() == before[k].tobytes() for k in T.PARAM_NAMES)
 
 
 def assert_flat_views(params, opt=None):
