@@ -2,8 +2,8 @@
 
 One JSON config document drives every command; flags override config
 values; every run directory receives a fully materialized
-resolved_config.json. Exit codes: 0 ok, 2 config, 3 io, 4 format,
-5 numeric failure.
+resolved_config.json. Exit codes: 0 ok, 2 config, 3 io or memory,
+4 format, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         with open(path) as fh:
             try:
                 given = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
                 raise FormatError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(given, dict):
             raise FormatError(f"{path}: config root must be a JSON object")
@@ -364,6 +364,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"io error: out of memory: {exc}", file=sys.stderr)
         return 3
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

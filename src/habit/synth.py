@@ -47,6 +47,10 @@ class GenConfig:
             raise ConfigError("n_gallery must be >= n_triplets")
         if self.d_in < self.n_attrs:
             raise ConfigError("d_in must be >= n_attrs")
+        # the largest arrays are the (d_in, d_in) draw of the projection and the
+        # (n_gallery, d_in) gallery; numpy sizes no array of more bytes than intp holds
+        if max(self.d_in, self.n_gallery) * self.d_in * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"d_in {self.d_in} with n_gallery {self.n_gallery}: an array too big to size")
         if self.n_attrs < 2:
             raise ConfigError("n_attrs must be >= 2 (partial noise needs |delta| >= 2)")
         if ATTR_LEVELS**self.n_attrs < 2 * self.n_gallery:
@@ -202,7 +206,7 @@ def _read_jsonl(path, what, parse):
     try:
         with open(path) as fh:
             return [parse(_DECODER.decode(line)) for line in fh if line.strip()]
-    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {what} file {path}: {exc}") from exc
 
 

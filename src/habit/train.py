@@ -522,13 +522,14 @@ def save_checkpoint(ckpt: Checkpoint, path):
 def load_checkpoint(path) -> Checkpoint:
     """Read a `save_checkpoint` file; a malformed one raises FormatError.
 
-    Beyond the byte layout, the structure must hold together: the RNG state
-    is one a PCG64 generator takes, every array is present and no other is,
-    the integer fields are integers, each parameter's shape agrees with
-    q_tokens, dim and the input width, each AdamW moment has its parameter's
-    shape (the flat packing relies on that), outliers are stored only for
-    batches below n_memories, each memory holds a (B, B) sim, a (B,) est and
-    mask and distinct outliers in [0, B), and every array is finite.
+    Beyond the byte layout, the structure must hold together: the meta
+    repeats no key, the RNG state is one a PCG64 generator takes, every
+    array is present and no other is, the integer fields are integers, each
+    parameter's shape agrees with q_tokens, dim and the input width, each
+    AdamW moment has its parameter's shape (the flat packing relies on that),
+    outliers are stored only for batches below n_memories, each memory holds
+    a (B, B) sim, a (B,) est and mask and distinct outliers in [0, B), and
+    every array is finite.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -546,7 +547,8 @@ def load_checkpoint(path) -> Checkpoint:
         return chunk
 
     try:
-        meta = json.loads(take(struct.unpack("<Q", take(8))[0]))
+        meta = json.loads(take(struct.unpack("<Q", take(8))[0]),
+                          object_pairs_hook=lambda pairs: _unique(path, pairs))
         rng_state = take(struct.unpack("<Q", take(8))[0])
         np.random.PCG64().state = json.loads(rng_state)  # as a resume sets it
         arrays = {}
@@ -561,8 +563,17 @@ def load_checkpoint(path) -> Checkpoint:
         return _checkpoint_from(path, meta, arrays, rng_state)
     except FormatError:
         raise
-    except (KeyError, OverflowError, TypeError, ValueError, struct.error) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError, struct.error) as exc:
         raise FormatError(f"{path}: corrupt checkpoint: {exc!r}") from exc
+
+
+def _unique(path, pairs) -> dict:
+    """A meta object; json.loads would keep the last value of a repeated key silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise FormatError(f"{path}: meta repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _checkpoint_from(path, meta, arrays, rng_state) -> Checkpoint:
